@@ -10,33 +10,34 @@ from pathlib import Path
 
 from mixnorm.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="mixnorm_demo_"))
+with tempfile.TemporaryDirectory(prefix="mixnorm_demo_") as tmp:
+    workdir = Path(tmp)
 
-# ----------------------------------------------------------------------
-# A constants table, a verification suite, and a sweep, all to files
+    # ------------------------------------------------------------------
+    # A constants table, a verification suite, and a sweep, all to files
 
-main(["constants", "--r", "4/3", "3/2", "2", "--format", "csv",
-      "--out", str(workdir / "constants.csv")])
-main(["verify", "restriction", "--trials", "5", "--p", "4/3",
-      "--out", str(workdir / "restriction.jsonl")])
-main(["sweep", "necessity", "--r", "inf", "--out", str(workdir / "necessity.csv")])
-
-for path in sorted(workdir.iterdir()):
-    head = path.read_text().splitlines()[0]
-    print(f"{path.name:>22}: {head[:90]}")
-
-# ----------------------------------------------------------------------
-# Determinism: run the same configuration again and hash both artifacts
-
-digests = []
-for _ in range(2):
+    main(["constants", "--r", "4/3", "3/2", "2", "--format", "csv",
+          "--out", str(workdir / "constants.csv")])
     main(["verify", "restriction", "--trials", "5", "--p", "4/3",
-          "--out", str(workdir / "again.jsonl")])
-    digests.append(hashlib.sha256((workdir / "again.jsonl").read_bytes()).hexdigest())
-print()
-print(f"first run:  {digests[0]}")
-print(f"second run: {digests[1]}")
-print(f"byte-identical: {digests[0] == digests[1]}")
+          "--out", str(workdir / "restriction.jsonl")])
+    main(["sweep", "necessity", "--r", "inf", "--out", str(workdir / "necessity.csv")])
+
+    for path in sorted(workdir.iterdir()):
+        head = path.read_text().splitlines()[0]
+        print(f"{path.name:>22}: {head[:90]}")
+
+    # ------------------------------------------------------------------
+    # Determinism: run the same configuration again and hash both artifacts
+
+    digests = []
+    for _ in range(2):
+        main(["verify", "restriction", "--trials", "5", "--p", "4/3",
+              "--out", str(workdir / "again.jsonl")])
+        digests.append(hashlib.sha256((workdir / "again.jsonl").read_bytes()).hexdigest())
+    print()
+    print(f"first run:  {digests[0]}")
+    print(f"second run: {digests[1]}")
+    print(f"byte-identical: {digests[0] == digests[1]}")
 
 # ----------------------------------------------------------------------
 # Exit codes: 0 clean, 2 on an exponent-gate error (shown here with an

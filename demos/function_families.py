@@ -55,11 +55,11 @@ except GenerationError as error:
 # Descriptors make trials reproducible: save the values plus a JSON
 # sidecar, reload, or regenerate from the descriptor alone
 
-workdir = Path(tempfile.mkdtemp(prefix="mixnorm_families_"))
 original = families["random_ensemble"]
-path = workdir / "trial.npy"
-original.save(path)
-reloaded = SampledFunction.load(path)
+with tempfile.TemporaryDirectory(prefix="mixnorm_families_") as workdir:
+    path = Path(workdir) / "trial.npy"
+    original.save(path)
+    reloaded = SampledFunction.load(path)
 regenerated = sample_descriptor(original.descriptor, grid2)
 print()
 print(f"saved to {path.name} + sidecar {path.name}.json")

@@ -67,7 +67,6 @@ from .sweeps import (
     necessity_sweep,
 )
 from .transform import (
-    TransformPlan,
     fourier,
     inverse_fourier,
     marginal_second,
@@ -96,7 +95,6 @@ __all__ = [
     "SampledFunction",
     "SeparableSum",
     "SweepReport",
-    "TransformPlan",
     "admissible",
     "as_exponent",
     "beckner_constant",

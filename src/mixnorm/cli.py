@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .exponents import (
@@ -34,6 +34,7 @@ from .exponents import (
 )
 from .grids import DimensionPair, GridSpec
 from .inequalities import (
+    INEQUALITY_IDS,
     RatioReport,
     ensemble_trials,
     random_admissible_tuples,
@@ -51,13 +52,8 @@ DEFAULT_TRIALS = 100
 DEFAULT_N = 256
 DEFAULT_EXTENT = 16.0
 
-_VERIFY_NAMES = {
-    "restriction": "restriction",
-    "bilinear": "bilinear",
-    "variant": "variant",
-    "same-order": "same_order",
-    "hausdorff-young": "hausdorff_young",
-}
+#: Command-line spelling (dashes) of each inequality id (underscores).
+_VERIFY_NAMES = {name.replace("_", "-"): name for name in INEQUALITY_IDS}
 
 
 @dataclass(frozen=True)
@@ -76,23 +72,8 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "target": self.target,
-            "n": self.n,
-            "extent": self.extent,
-            "d1": self.d1,
-            "d2": self.d2,
-            "seed": self.seed,
-            "trials": self.trials,
-            "exponents": self.exponents,
-            "format": self.format,
-            "out": self.out,
-        }
-
     def echo_json(self) -> str:
-        return json.dumps({"config": self.as_dict()}, sort_keys=True)
+        return json.dumps({"config": asdict(self)}, sort_keys=True)
 
     def grid(self, d2: int | None = None) -> GridSpec:
         dims = DimensionPair(self.d1, self.d2 if d2 is None else d2)
@@ -164,6 +145,22 @@ def _exponent_args(args, names) -> dict:
     return got
 
 
+def _run_config(args, command: str, target: str, default_format: str) -> RunConfig:
+    return RunConfig(
+        command=command,
+        target=target,
+        n=args.grid_n,
+        extent=args.grid_l,
+        d1=args.d1,
+        d2=args.d2,
+        seed=args.seed,
+        trials=args.trials,
+        exponents=_exponent_args(args, ("p", "s", "q", "t", "r")),
+        format=args.format or default_format,
+        out=args.out,
+    )
+
+
 def _cmd_constants(args) -> int:
     exponents = [as_exponent(raw) for raw in args.r]
     dims = list(args.dim)
@@ -204,6 +201,7 @@ def _collect_verify_reports(config: RunConfig, args) -> list[RatioReport]:
         grid = config.grid(d2=0)
     else:
         grid = config.grid()
+    tuples = None
     if inequality == "bilinear":
         if any(getattr(args, name) is not None for name in ("p", "s", "q", "t", "r")):
             exps = ExponentTuple(
@@ -215,30 +213,14 @@ def _collect_verify_reports(config: RunConfig, args) -> list[RatioReport]:
             tuples = [exps]
         else:
             tuples = random_admissible_tuples(10, config.seed)
-        functions = ensemble_trials(grid, config.trials, config.seed)
-        return run_suite(inequality, functions, exponent_tuples=tuples)
     functions = ensemble_trials(grid, config.trials, config.seed)
     p = args.p if args.p is not None else "2"
     s = args.s if args.s is not None else "2"
-    if inequality in ("variant", "same_order"):
-        return run_suite(inequality, functions, p=p, s=s)
-    return run_suite(inequality, functions, p=p)
+    return run_suite(inequality, functions, p=p, s=s, exponent_tuples=tuples)
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(
-        command="verify",
-        target=args.inequality,
-        n=args.grid_n,
-        extent=args.grid_l,
-        d1=args.d1,
-        d2=args.d2,
-        seed=args.seed,
-        trials=args.trials,
-        exponents=_exponent_args(args, ("p", "s", "q", "t", "r")),
-        format=args.format or "json",
-        out=args.out,
-    )
+    config = _run_config(args, "verify", args.inequality, "json")
     reports = _collect_verify_reports(config, args)
     failures = [r for r in reports if not r.degenerate and not r.passed]
     degenerate = [r for r in reports if r.degenerate]
@@ -250,7 +232,7 @@ def _cmd_verify(args) -> int:
         }
     }
     if config.format == "csv":
-        text = "# config: " + json.dumps(config.as_dict(), sort_keys=True) + "\n"
+        text = "# config: " + json.dumps(asdict(config), sort_keys=True) + "\n"
         text += reports_to_csv(reports)
         text += "# " + json.dumps(summary, sort_keys=True) + "\n"
     else:
@@ -264,11 +246,11 @@ def _cmd_verify(args) -> int:
 def _sweep_text(report: SweepReport, config: RunConfig) -> str:
     if config.format == "json":
         payload = json.loads(report.to_json())
-        payload["config"] = config.as_dict()
+        payload["config"] = asdict(config)
         return json.dumps(payload, sort_keys=True) + "\n"
     return (
         "# config: "
-        + json.dumps(config.as_dict(), sort_keys=True)
+        + json.dumps(asdict(config), sort_keys=True)
         + "\n"
         + report.to_csv()
     )
@@ -282,19 +264,7 @@ def _with_suffix(out: str | None, tag: str) -> str | None:
 
 
 def _cmd_sweep(args) -> int:
-    config = RunConfig(
-        command="sweep",
-        target=args.kind,
-        n=args.grid_n,
-        extent=args.grid_l,
-        d1=args.d1,
-        d2=args.d2,
-        seed=args.seed,
-        trials=args.trials,
-        exponents=_exponent_args(args, ("p", "s", "q", "t", "r")),
-        format=args.format or "csv",
-        out=args.out,
-    )
+    config = _run_config(args, "sweep", args.kind, "csv")
     if args.kind == "blowup":
         p = as_exponent(args.p if args.p is not None else "2")
         s = as_exponent(args.s if args.s is not None else "4/3")

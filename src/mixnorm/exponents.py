@@ -266,13 +266,9 @@ def beckner_constant(r: ExponentLike) -> float:
     return rv ** (1.0 / (2.0 * rv)) * tv ** (-1.0 / (2.0 * tv))
 
 
-def beckner_power(r: ExponentLike, dims: int | DimensionPair) -> float:
-    """``beckner_constant(r)`` raised to an integer dimension count.
-
-    A ``DimensionPair`` argument uses its first-factor dimension, the
-    power appearing in the hyperplane restriction bound.
-    """
-    n = dims.d1 if isinstance(dims, DimensionPair) else int(dims)
+def beckner_power(r: ExponentLike, dims: int) -> float:
+    """``beckner_constant(r)`` raised to an integer dimension count."""
+    n = int(dims)
     if n < 0:
         raise ValueError(f"dimension power must be >= 0, got {n}")
     if n == 0:

@@ -87,16 +87,6 @@ class GaussianTerm:
         c = math.sqrt(2.0 * math.pi * self.scale)
         return 0.5 * (erfc(c * (radius - self.center)) + erfc(c * (radius + self.center)))
 
-    def inner(self, other: "GaussianTerm") -> complex:
-        """Continuum L^2 inner product with another term, closed form."""
-        a = math.pi * (self.scale + other.scale)
-        b = 2.0 * math.pi * (self.scale * self.center + other.scale * other.center) + 2j * math.pi * (
-            self.modulation - other.modulation
-        )
-        const = -math.pi * (self.scale * self.center**2 + other.scale * other.center**2)
-        gauss = math.sqrt(math.pi / a) * np.exp(b * b / (4.0 * a) + const)
-        return complex(self.amplitude * np.conj(other.amplitude) * gauss)
-
 
 @dataclass(frozen=True)
 class GaussianMix:
@@ -120,35 +110,16 @@ class GaussianMix:
     def dilate(self, t: float, norm_reciprocal: float = 0.0) -> "GaussianMix":
         return GaussianMix(tuple(term.dilate(t, norm_reciprocal) for term in self.terms))
 
-    def scaled(self, c: complex) -> "GaussianMix":
-        return GaussianMix(
-            tuple(
-                GaussianTerm(term.amplitude * c, term.scale, term.center, term.modulation)
-                for term in self.terms
-            )
-        )
-
     def lp_norm(self, p: float) -> float:
         if len(self.terms) != 1:
             raise ValueError("closed-form L^p norms are available for single terms only")
         return self.terms[0].lp_norm(p)
-
-    def l2_norm(self) -> float:
-        """Continuum L^2 norm of the full sum via the Gram matrix."""
-        total = 0.0
-        for a in self.terms:
-            for b in self.terms:
-                total += a.inner(b).real
-        return math.sqrt(max(total, 0.0))
 
     def support_radius(self, tail: float = 1e-15) -> float:
         return max(term.support_radius(tail) for term in self.terms)
 
     def bandwidth_radius(self, tail: float = 1e-15) -> float:
         return self.fourier().support_radius(tail)
-
-    def max_mass_fraction_outside(self, radius: float) -> float:
-        return max(term.mass_fraction_outside(radius) for term in self.terms)
 
 
 @dataclass(frozen=True)
@@ -203,10 +174,6 @@ class SeparableSum:
         if self.ndim != 1:
             raise ValueError("only one-axis sums flatten to a mixture")
         return GaussianMix(tuple(factors[0] for factors in self.terms))
-
-    @classmethod
-    def from_mix(cls, mix: GaussianMix) -> "SeparableSum":
-        return cls(tuple((term,) for term in mix.terms))
 
 
 def unit_gaussian() -> GaussianMix:

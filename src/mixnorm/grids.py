@@ -98,17 +98,10 @@ class FunctionDescriptor:
     def to_dict(self) -> dict[str, Any]:
         return {"family": self.family, "parameters": self.parameters, "seed": self.seed}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FunctionDescriptor":
         return cls(family=data["family"], parameters=dict(data.get("parameters", {})),
                    seed=data.get("seed"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FunctionDescriptor":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -140,10 +133,6 @@ class SampledFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sampled values must all be finite")
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.side)
-
     def group_axes(self, group: int) -> tuple[int, ...]:
         if group == 0:
             return self.grid.first_axes
@@ -154,9 +143,6 @@ class SampledFunction:
     def group_spacing(self, group: int) -> float:
         """Cell width on the given group's side of the grid."""
         return self.grid.spacing if self.side[group] == SPACE else self.grid.freq_spacing
-
-    def group_coords(self, group: int) -> np.ndarray:
-        return self.grid.space_coords() if self.side[group] == SPACE else self.grid.freq_coords()
 
     def with_values(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.grid, values, self.side)

@@ -136,19 +136,24 @@ def _require_range(e: Exponent, name: str) -> None:
         raise ValueError(f"{name} must lie in [1, 2], got {e}")
 
 
-def _check_grid(F: SampledFunction, grid: GridSpec | None) -> None:
-    if grid is not None and grid != F.grid:
-        raise ValueError("explicit grid disagrees with the function's grid")
-
-
 def _descriptor_of(F: SampledFunction) -> dict | None:
     return F.descriptor.to_dict() if F.descriptor is not None else None
+
+
+def _transform_bound(F: SampledFunction, p: Exponent, s: Exponent) -> float:
+    """C_p^{d1} C_s^{d2} times the (p, s) mixed norm of F, shared by the
+    variant and same-order bounds."""
+    d = F.grid.dims
+    return (
+        beckner_power(p, d.d1)
+        * beckner_power(s, d.d2)
+        * mixed_norm(F, MixedNormSpec.standard(p, s))
+    )
 
 
 def check_restriction(
     F: SampledFunction,
     p: ExponentLike,
-    grid: GridSpec | None = None,
     tolerance: float = SUITE_TOL,
 ) -> RatioReport:
     """Frequency-hyperplane restriction against the (p, 1) mixed norm.
@@ -158,7 +163,6 @@ def check_restriction(
     """
     p = as_exponent(p)
     _require_range(p, "p")
-    _check_grid(F, grid)
     lhs = plain_norm(slice_second_zero(fourier(F)), p.conjugate())
     bound = beckner_power(p, F.grid.dims.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
     return _build_report(
@@ -170,15 +174,12 @@ def check_bilinear(
     F: SampledFunction,
     G: SampledFunction,
     exponents: ExponentTuple,
-    grid: GridSpec | None = None,
     tolerance: float = SUITE_TOL,
 ) -> RatioReport:
     """Bilinear restriction of a product F·G under an admissible tuple."""
     verdict = admissible(exponents)
     if not verdict:
         raise InadmissibleExponents(verdict.reason, exponents)
-    _check_grid(F, grid)
-    _check_grid(G, grid)
     if F.grid != G.grid or F.side != G.side:
         raise ValueError("factors must share a grid and side")
     product = F.with_values(F.values * G.values)
@@ -202,22 +203,14 @@ def check_variant(
     F: SampledFunction,
     p: ExponentLike,
     s: ExponentLike,
-    grid: GridSpec | None = None,
     tolerance: float = SUITE_TOL,
 ) -> RatioReport:
     """Reversed-order transform bound: L^{s'} over xi'' outside L^{p'} over xi'."""
     p, s = as_exponent(p), as_exponent(s)
     _require_range(p, "p")
     _require_range(s, "s")
-    _check_grid(F, grid)
-    Fhat = fourier(F)
-    lhs = mixed_norm(Fhat, MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
-    d = F.grid.dims
-    bound = (
-        beckner_power(p, d.d1)
-        * beckner_power(s, d.d2)
-        * mixed_norm(F, MixedNormSpec.standard(p, s))
-    )
+    lhs = mixed_norm(fourier(F), MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
+    bound = _transform_bound(F, p, s)
     return _build_report(
         "variant", lhs, bound, tolerance, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
     )
@@ -227,7 +220,6 @@ def check_same_order(
     F: SampledFunction,
     p: ExponentLike,
     s: ExponentLike,
-    grid: GridSpec | None = None,
     tolerance: float = SUITE_TOL,
 ) -> RatioReport:
     """Same-order transform bound, valid only for p <= s.
@@ -243,15 +235,8 @@ def check_same_order(
             f"p = {p} exceeds s = {s}; the same-order bound fails there "
             "(see the blowup sweep)"
         )
-    _check_grid(F, grid)
-    Fhat = fourier(F)
-    lhs = mixed_norm(Fhat, MixedNormSpec.standard(p.conjugate(), s.conjugate()))
-    d = F.grid.dims
-    bound = (
-        beckner_power(p, d.d1)
-        * beckner_power(s, d.d2)
-        * mixed_norm(F, MixedNormSpec.standard(p, s))
-    )
+    lhs = mixed_norm(fourier(F), MixedNormSpec.standard(p.conjugate(), s.conjugate()))
+    bound = _transform_bound(F, p, s)
     return _build_report(
         "same_order", lhs, bound, tolerance, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
     )

@@ -75,9 +75,7 @@ def _group_index(name: str) -> int:
 
 
 def _reduce(values: np.ndarray, axes: tuple[int, ...], weight: float, e: Exponent) -> np.ndarray:
-    """One norm layer over the given axes; empty axis tuples pass through."""
-    if not axes:
-        return values
+    """One norm layer over the given axes."""
     if e.is_infinite:
         return values.max(axis=axes)
     a = float(e.value)
@@ -106,15 +104,11 @@ def mixed_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
 
 def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
     """The unmixed L^a norm over every axis at once."""
-    e = as_exponent(a)
-    stage = np.abs(F.values)
-    if e.is_infinite:
-        return float(stage.max())
     weight = 1.0
     for group in range(len(F.side)):
         weight *= F.group_spacing(group) ** len(F.group_axes(group))
-    exponent = float(e.value)
-    return float((weight * (stage**exponent).sum()) ** (1.0 / exponent))
+    all_axes = tuple(range(F.values.ndim))
+    return float(_reduce(np.abs(F.values), all_axes, weight, as_exponent(a)))
 
 
 class MinkowskiComparison(NamedTuple):

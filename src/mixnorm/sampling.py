@@ -5,7 +5,7 @@ and shears re-evaluate the analytic object at the new arguments instead
 of interpolating arrays. Every generator enforces that the essential
 mass of the function, on both the space and the frequency side, stays
 inside the grid; a family that does not fit raises ``GenerationError``
-with the extent that would be needed.
+naming the space or frequency extent that would be needed.
 """
 
 from __future__ import annotations
@@ -58,24 +58,29 @@ class GenerationError(ValueError):
         super().__init__(message)
 
 
-def _check_terms(terms: Sequence[GaussianTerm], radius: float, label: str) -> None:
+def _check_terms(terms: Sequence[GaussianTerm], grid: GridSpec, side: str, label: str) -> None:
+    """Reject terms whose mass on ``side`` leaks outside the grid.
+
+    Only a space-side leak sets ``required_extent``; a frequency-side
+    leak names the frequency extent it needs, which is not a space extent.
+    """
+    radius = (grid.extent if side == SPACE else grid.freq_extent) / 2.0
     worst = max(term.mass_fraction_outside(radius) for term in terms)
-    if worst > TAIL_FRACTION_LIMIT:
-        needed = 2.0 * max(term.support_radius(TAIL) for term in terms)
-        raise GenerationError(
-            f"{label} mass leaks outside the grid (fraction {worst:.3g})",
-            required_extent=needed,
-        )
+    if worst <= TAIL_FRACTION_LIMIT:
+        return
+    needed = 2.0 * max(term.support_radius(TAIL) for term in terms)
+    message = f"{label} {side}-side mass leaks outside the grid (fraction {worst:.3g})"
+    if side == SPACE:
+        raise GenerationError(message, required_extent=needed)
+    raise GenerationError(f"{message}; refine the grid (need frequency extent >= {needed:.4g})")
 
 
-def _check_containment(separable: SeparableSum, grid: GridSpec) -> None:
+def check_containment(separable: SeparableSum, grid: GridSpec) -> None:
     """Space- and frequency-side containment, axis by axis."""
     transformed = separable.fourier()
     for axis in range(separable.ndim):
-        _check_terms(separable.axis_terms(axis), grid.extent / 2.0, f"axis {axis} space-side")
-        _check_terms(
-            transformed.axis_terms(axis), grid.freq_extent / 2.0, f"axis {axis} frequency-side"
-        )
+        _check_terms(separable.axis_terms(axis), grid, SPACE, f"axis {axis}")
+        _check_terms(transformed.axis_terms(axis), grid, FREQUENCY, f"axis {axis}")
 
 
 def _as_mix(f: SampledFunction | GaussianMix) -> GaussianMix:
@@ -107,7 +112,7 @@ def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction
     if any(a <= 0 for a in scales):
         raise ValueError(f"scales must be positive, got {scales}")
     separable = SeparableSum((tuple(GaussianTerm(1.0, a) for a in scales),))
-    _check_containment(separable, grid)
+    check_containment(separable, grid)
     coords = [grid.space_coords()] * grid.ndim
     values = separable.evaluate_grid(coords)
     descriptor = FunctionDescriptor("gaussian_product", {"scales": scales})
@@ -159,40 +164,35 @@ def random_ensemble(grid: GridSpec, complexity: int, seed: int) -> SampledFuncti
         ]
         terms.append(tuple(factors))
     separable = SeparableSum(tuple(terms))
-    _check_containment(separable, grid)
+    check_containment(separable, grid)
     values = separable.evaluate_grid([grid.space_coords()] * d)
     descriptor = FunctionDescriptor("random_ensemble", {"complexity": complexity}, seed=seed)
     return SampledFunction(grid, values, _one_factor_sides(grid), descriptor, separable)
 
 
-def dilate_first_axis(
-    f: SampledFunction,
-    t: float,
-    p: ExponentLike,
-    grid: GridSpec | None = None,
-) -> SampledFunction:
+def dilate_first_axis(f: SampledFunction, t: float, p: ExponentLike) -> SampledFunction:
     """Sample ``t**(1/p) f(t x)`` by exact analytic re-evaluation.
 
     The continuum L^p norm of the result equals that of ``f``. Rejects
-    dilations whose essential support or bandwidth leaves the target
-    grid, reporting the extent that would be required.
+    dilations whose essential support or bandwidth leaves the grid of
+    ``f``, reporting what the grid would need.
     """
     if not t > 0:
         raise ValueError(f"dilation parameter must be positive, got {t}")
     exponent = as_exponent(p)
     mix = _as_mix(f)
-    target = grid if grid is not None else f.grid
-    if target.dims.d2 != 0 or target.dims.d1 != 1:
+    grid = f.grid
+    if grid.dims.d2 != 0 or grid.dims.d1 != 1:
         raise ValueError("dilation acts on one-factor functions")
     dilated = mix.dilate(float(t), float(exponent.reciprocal))
-    _check_terms(dilated.terms, target.extent / 2.0, "dilated space-side")
-    _check_terms(dilated.fourier().terms, target.freq_extent / 2.0, "dilated frequency-side")
-    values = dilated.evaluate(target.space_coords())
+    _check_terms(dilated.terms, grid, SPACE, "dilated")
+    _check_terms(dilated.fourier().terms, grid, FREQUENCY, "dilated")
+    values = dilated.evaluate(grid.space_coords())
     base = f.descriptor.to_dict() if f.descriptor else None
     descriptor = FunctionDescriptor(
         "dilation_shear", {"kind": "dilate", "t": float(t), "p": str(exponent), "base": base}
     )
-    return SampledFunction(target, values, (SPACE,), descriptor, dilated)
+    return SampledFunction(grid, values, (SPACE,), descriptor, dilated)
 
 
 def shear_product(
@@ -270,7 +270,7 @@ def near_delta_family(
             f"{2.0 * grid.spacing:.4g}; refine the grid"
         )
     fm = _as_mix(f)
-    _check_terms(fm.terms, grid.extent / 2.0, "first-factor space-side")
+    _check_terms(fm.terms, grid, SPACE, "first-factor")
     x = grid.space_coords()
     if shear:
         arg = x[None, :] + x[:, None]

@@ -35,7 +35,7 @@ from .exponents import (
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
 from .grids import FREQUENCY, SPACE, DimensionPair, GridSpec, SampledFunction
 from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm
-from .sampling import TAIL, GenerationError, near_delta_family, shear_product
+from .sampling import TAIL, GenerationError, check_containment, near_delta_family, shear_product
 from .transform import fourier, slice_second_zero
 
 __all__ = [
@@ -344,18 +344,7 @@ def necessity_sweep(
     observed = []
     for lam in lambda_values:
         separable = _dilated_product(lam, axis_index)
-        for ax in range(2):
-            term = separable.axis_terms(ax)[0]
-            if term.mass_fraction_outside(grid.extent / 2.0) > 1e-8:
-                raise GenerationError(
-                    f"lambda={lam:.4g} pushes the family off the grid",
-                    required_extent=2.0 * term.support_radius(TAIL),
-                )
-            if term.fourier().mass_fraction_outside(grid.freq_extent / 2.0) > 1e-8:
-                raise GenerationError(
-                    f"lambda={lam:.4g} pushes the bandwidth past the frequency extent; "
-                    "refine the grid"
-                )
+        check_containment(separable, grid)
         values = separable.evaluate_grid([x, x])
         F = SampledFunction(grid, values, (SPACE, SPACE), analytic=separable)
         product = F.with_values(F.values * F.values)

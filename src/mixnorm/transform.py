@@ -14,23 +14,17 @@ the composition of the second-group and first-group partial transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 
 from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 
 __all__ = [
-    "TransformPlan",
     "fourier",
     "inverse_fourier",
     "slice_second_zero",
     "marginal_second",
 ]
-
-FORWARD = "forward"
-INVERSE = "inverse"
 
 
 def _normalize_selector(grid: GridSpec, axes: str | None) -> tuple[int, ...]:
@@ -60,54 +54,27 @@ def _dft_axis(values: np.ndarray, axis: int, spacing: float, forward: bool) -> n
     return (sign / spacing) * ramp * scipy.fft.ifft(ramp * values, axis=axis)
 
 
-@dataclass(frozen=True)
-class TransformPlan:
-    """An immutable recipe: which groups to transform, and which way.
+def _transform(F: SampledFunction, axes: str | None, forward: bool) -> SampledFunction:
+    """Transform the selected groups, flipping each one's side.
 
-    ``apply`` acts on bare arrays shaped like the grid; the wrapper
-    functions below handle side bookkeeping on ``SampledFunction``.
     Forward followed by inverse on the same axes is the identity up to
     roundoff, since the ramps square to one and FFT/IFFT cancel.
     """
-
-    grid: GridSpec
-    axes: str = "all"
-    direction: str = FORWARD
-
-    def __post_init__(self):
-        _normalize_selector(self.grid, self.axes)
-        if self.direction not in (FORWARD, INVERSE):
-            raise ValueError(f"direction must be {FORWARD!r} or {INVERSE!r}")
-
-    @property
-    def groups(self) -> tuple[int, ...]:
-        return _normalize_selector(self.grid, self.axes)
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        if values.shape != self.grid.shape:
-            raise ValueError(f"expected shape {self.grid.shape}, got {values.shape}")
-        out = np.asarray(values, dtype=np.complex128)
-        forward = self.direction == FORWARD
-        for group in self.groups:
-            axes = self.grid.first_axes if group == 0 else self.grid.second_axes
-            for axis in axes:
-                out = _dft_axis(out, axis, self.grid.spacing, forward)
-        return out
-
-
-def _transform(F: SampledFunction, axes: str | None, forward: bool) -> SampledFunction:
-    plan = TransformPlan(F.grid, axes or "all", FORWARD if forward else INVERSE)
     want = SPACE if forward else FREQUENCY
     flip = FREQUENCY if forward else SPACE
     side = list(F.side)
-    for group in plan.groups:
+    values = F.values
+    for group in _normalize_selector(F.grid, axes):
         if side[group] != want:
+            direction = "forward" if forward else "inverse"
             raise ValueError(
                 f"group {group} is on the {side[group]} side; "
-                f"cannot apply a {plan.direction} transform there"
+                f"cannot apply a {direction} transform there"
             )
         side[group] = flip
-    return SampledFunction(F.grid, plan.apply(F.values), tuple(side))
+        for axis in F.group_axes(group):
+            values = _dft_axis(values, axis, F.grid.spacing, forward)
+    return SampledFunction(F.grid, values, tuple(side))
 
 
 def fourier(F: SampledFunction, axes: str | None = "all") -> SampledFunction:

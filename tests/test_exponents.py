@@ -139,9 +139,6 @@ class TestBecknerConstant:
         assert beckner_power("4/3", 2) == pytest.approx(c * c, rel=1e-15)
         assert beckner_power("4/3", 2) == pytest.approx(0.8773826753016614, abs=1e-15)
         assert beckner_power("3/2", 0) == 1.0
-        assert beckner_power("3/2", DimensionPair(3, 1)) == pytest.approx(
-            beckner_constant("3/2") ** 3
-        )
 
     def test_symmetry_in_conjugate_pair(self):
         # r^{1/2r} (r')^{-1/2r'} with r in [1,2]; the formula is not

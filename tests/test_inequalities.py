@@ -128,10 +128,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="blowup"):
             check_same_order(GAUSSIAN2, "3/2", "4/3")
 
-    def test_explicit_grid_must_match(self):
-        with pytest.raises(ValueError):
-            check_restriction(GAUSSIAN2, 2, grid=GridSpec.default(n=128))
-
 
 class TestStructure:
     def test_ratio_is_scale_invariant(self):

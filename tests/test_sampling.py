@@ -48,6 +48,21 @@ class TestGaussianProduct:
         with pytest.raises(GenerationError):
             gaussian_product(GRID2, [1e4, 1.0])
 
+    def test_frequency_leak_reports_no_space_extent(self):
+        # 36.32 is the frequency extent needed; as a space extent it makes
+        # the leak worse (fraction 0.196 -> 0.569), so it is not offered
+        with pytest.raises(GenerationError, match="refine the grid") as err:
+            gaussian_product(GridSpec.default(d2=0, n=64), [30.0])
+        assert err.value.required_extent is None
+        assert "need frequency extent >= 36.32" in str(err.value)
+
+    def test_space_leak_required_extent_suffices(self):
+        with pytest.raises(GenerationError) as err:
+            gaussian_product(GridSpec.default(d2=0, n=512), [0.02])
+        assert err.value.required_extent == pytest.approx(46.89, abs=0.01)
+        retry = GridSpec.default(d2=0, n=512, extent=err.value.required_extent)
+        assert gaussian_product(retry, [0.02]).grid == retry
+
     def test_descriptor_attached(self):
         F = gaussian_product(GRID2, [1.0, 2.0])
         assert F.descriptor.family == "gaussian_product"
@@ -124,8 +139,9 @@ class TestDilation:
 
     def test_large_t_rejected_on_bandwidth(self):
         f = gaussian_product(GRID1, [1.0])
-        with pytest.raises(GenerationError):
+        with pytest.raises(GenerationError, match="refine the grid") as err:
             dilate_first_axis(f, 150.0, 2)
+        assert err.value.required_extent is None
 
     def test_dilation_matches_direct_evaluation(self):
         f = gaussian_product(GRID1, [1.0])

@@ -200,6 +200,14 @@ class TestNecessitySweep:
         with pytest.raises(GenerationError):
             necessity_sweep(self.ADMISSIBLE, lambda_values=(1.0 / 64.0,))
 
+    def test_containment_errors_name_side_and_extent(self):
+        with pytest.raises(GenerationError, match="axis 0 frequency-side") as err:
+            necessity_sweep(self.ADMISSIBLE, lambda_values=(64.0,))
+        assert err.value.required_extent is None
+        with pytest.raises(GenerationError, match="axis 0 space-side") as err:
+            necessity_sweep(self.ADMISSIBLE, lambda_values=(1.0 / 64.0,))
+        assert err.value.required_extent > GRID.extent
+
 
 class TestDefaults:
     def test_t_values_halve_from_one(self):

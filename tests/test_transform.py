@@ -8,7 +8,6 @@ import pytest
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import gaussian_product, near_delta_family, random_ensemble
 from mixnorm.transform import (
-    TransformPlan,
     fourier,
     inverse_fourier,
     marginal_second,
@@ -85,20 +84,13 @@ class TestFourier:
             fourier(f, "sideways")
 
 
-class TestTransformPlan:
-    def test_plan_validates_shape(self):
-        plan = TransformPlan(GRID1)
-        with pytest.raises(ValueError):
-            plan.apply(np.zeros((GRID1.n, GRID1.n)))
-
-    def test_plan_matches_wrapper(self):
-        F = random_ensemble(GRID2, 3, seed=8)
-        plan = TransformPlan(GRID2, "all", "forward")
-        np.testing.assert_array_equal(plan.apply(F.values), fourier(F).values)
-
-    def test_direction_validated(self):
-        with pytest.raises(ValueError):
-            TransformPlan(GRID2, "all", "backward")
+class TestSampledFunction:
+    def test_wrong_shape_rejected(self):
+        # the transforms rely on this check; they do not repeat it
+        with pytest.raises(ValueError, match="shape"):
+            SampledFunction(GRID1, np.zeros((GRID1.n, GRID1.n)), (SPACE,))
+        with pytest.raises(ValueError, match="shape"):
+            SampledFunction(GRID2, np.zeros(GRID2.n), (SPACE, SPACE))
 
 
 class TestSliceAndMarginal:
