@@ -2,10 +2,9 @@
 
 Exponents live in [1, inf] and are stored through their reciprocals in
 [0, 1], so that inf is representable exactly (reciprocal 0) and conjugacy
-``1/a + 1/a' = 1`` is closed under the arithmetic. Exponents built from
-integers, fractions, or decimal strings keep exact rational reciprocals;
-only exponents built from floats fall back to floating point, in which
-case relational checks use a 1e-12 tolerance.
+``1/a + 1/a' = 1`` is closed under the arithmetic. Every reciprocal is an
+exact ``Fraction``: a float input becomes the rational it represents
+exactly, so the exponent relations are decided without any tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ __all__ = [
     "ExponentTuple",
     "DimensionPair",
     "Admissibility",
+    "InadmissibleExponents",
     "as_exponent",
     "conjugate",
     "beckner_constant",
@@ -29,9 +29,6 @@ __all__ = [
 ]
 
 ExponentLike = Union["Exponent", int, float, str, Fraction]
-
-#: Tolerance for relational checks on non-rational reciprocals.
-REL_TOL = 1e-12
 
 
 class Exponent:
@@ -51,47 +48,32 @@ class Exponent:
             value = Fraction(text)  # handles "4/3", "2", "1.5"
         if isinstance(value, bool):
             raise TypeError("booleans are not exponents")
-        if isinstance(value, int):
-            value = Fraction(value)
-        if isinstance(value, Fraction):
-            if value < 1:
-                raise ValueError(f"exponent must be >= 1, got {value}")
-            self._recip = Fraction(1) / value
+        if not isinstance(value, (int, float, Fraction)):
+            raise TypeError(f"cannot build an exponent from {value!r}")
+        if value == math.inf:
+            self._recip = Fraction(0)
             return
-        if isinstance(value, float):
-            if math.isinf(value):
-                self._recip = Fraction(0)
-                return
-            if math.isnan(value) or value < 1.0:
-                raise ValueError(f"exponent must be >= 1, got {value}")
-            self._recip = 1.0 / value
-            return
-        raise TypeError(f"cannot build an exponent from {value!r}")
+        if not value >= 1:  # also rejects nan and -inf
+            raise ValueError(f"exponent must be >= 1, got {value}")
+        self._recip = 1 / Fraction(value)
 
     @classmethod
-    def from_reciprocal(cls, recip: Fraction | float) -> "Exponent":
-        """Build from a reciprocal in [0, 1], keeping its exactness."""
+    def from_reciprocal(cls, recip: Fraction) -> "Exponent":
+        """Build from a reciprocal in [0, 1]."""
         if not 0 <= recip <= 1:
             raise ValueError(f"reciprocal must lie in [0, 1], got {recip}")
         e = cls.__new__(cls)
-        e._recip = recip
+        e._recip = Fraction(recip)
         return e
 
     @property
-    def reciprocal(self) -> Fraction | float:
+    def reciprocal(self) -> Fraction:
         return self._recip
 
     @property
     def value(self) -> Fraction | float:
-        if self._recip == 0:
-            return math.inf
-        if isinstance(self._recip, Fraction):
-            return Fraction(1) / self._recip
-        return 1.0 / self._recip
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self._recip, Fraction)
+        """The exponent itself; ``math.inf`` for the exponent inf."""
+        return math.inf if self._recip == 0 else 1 / self._recip
 
     @property
     def is_infinite(self) -> bool:
@@ -99,9 +81,7 @@ class Exponent:
 
     def conjugate(self) -> "Exponent":
         """The exponent a' with 1/a + 1/a' = 1 (conjugate of 1 is inf)."""
-        if isinstance(self._recip, Fraction):
-            return Exponent.from_reciprocal(Fraction(1) - self._recip)
-        return Exponent.from_reciprocal(1.0 - self._recip)
+        return Exponent.from_reciprocal(1 - self._recip)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -130,12 +110,7 @@ class Exponent:
         return self._recip <= as_exponent(other)._recip
 
     def __str__(self) -> str:
-        if self._recip == 0:
-            return "inf"
-        v = self.value
-        if isinstance(v, Fraction):
-            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return repr(v)
+        return "inf" if self._recip == 0 else str(self.value)
 
     def __repr__(self) -> str:
         return f"Exponent({str(self)!r})"
@@ -215,12 +190,6 @@ class InadmissibleExponents(ValueError):
         super().__init__(f"inadmissible exponents {exponents}: violates {reason}")
 
 
-def _reciprocals_equal(x: Fraction | float, y: Fraction | float) -> bool:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    return abs(float(x) - float(y)) <= REL_TOL
-
-
 def admissible(exponents: ExponentTuple) -> Admissibility:
     """Decide the two exponent relations plus the r >= 2 range gate.
 
@@ -229,15 +198,11 @@ def admissible(exponents: ExponentTuple) -> Admissibility:
     The reason names the first violated relation.
     """
     e = exponents
-    if not _reciprocals_equal(e.s.reciprocal + e.t.reciprocal, Fraction(1)):
+    if e.s.reciprocal + e.t.reciprocal != 1:
         return Admissibility(False, "s-t-relation")
-    target = 1 - e.p.reciprocal - e.q.reciprocal
-    if not _reciprocals_equal(e.r.reciprocal, target):
+    if e.r.reciprocal != 1 - e.p.reciprocal - e.q.reciprocal:
         return Admissibility(False, "r-relation")
-    half = Fraction(1, 2)
-    rr = e.r.reciprocal
-    r_ok = rr <= half if isinstance(rr, Fraction) else float(rr) <= 0.5 + REL_TOL
-    if not r_ok:
+    if e.r.reciprocal > Fraction(1, 2):
         return Admissibility(False, "r-range")
     return Admissibility(True, None)
 
@@ -252,14 +217,9 @@ def beckner_constant(r: ExponentLike) -> float:
     """
     e = as_exponent(r)
     recip = e.reciprocal
-    in_range = (
-        Fraction(1, 2) <= recip <= 1
-        if isinstance(recip, Fraction)
-        else 0.5 - REL_TOL <= float(recip) <= 1.0 + REL_TOL
-    )
-    if not in_range:
+    if not Fraction(1, 2) <= recip <= 1:
         raise ValueError(f"sharp constant is defined for exponents in [1, 2], got {e}")
-    if recip == 1 or recip == Fraction(1, 2) or float(recip) in (0.5, 1.0):
+    if recip == 1 or recip == Fraction(1, 2):
         return 1.0
     rv = float(e.value)
     tv = rv / (rv - 1.0)
@@ -288,12 +248,8 @@ def holder_exponents(
     return Exponent.from_reciprocal(u_recip), Exponent.from_reciprocal(v_recip)
 
 
-def _added_reciprocal(a: Exponent, b: Exponent, label: str) -> Fraction | float:
+def _added_reciprocal(a: Exponent, b: Exponent, label: str) -> Fraction:
     total = a.reciprocal + b.reciprocal
-    if isinstance(total, Fraction):
-        if total > 1:
-            raise ValueError(f"{label} = {total} exceeds 1")
-        return total
-    if total > 1.0 + REL_TOL:
+    if total > 1:
         raise ValueError(f"{label} = {total} exceeds 1")
-    return min(float(total), 1.0)
+    return total

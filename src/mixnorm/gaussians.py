@@ -157,14 +157,8 @@ class SeparableSum:
             out += term_values
         return out
 
-    def fourier(self, axes: tuple[int, ...] | None = None) -> "SeparableSum":
-        selected = set(range(self.ndim) if axes is None else axes)
-        return SeparableSum(
-            tuple(
-                tuple(f.fourier() if axis in selected else f for axis, f in enumerate(factors))
-                for factors in self.terms
-            )
-        )
+    def fourier(self) -> "SeparableSum":
+        return SeparableSum(tuple(tuple(f.fourier() for f in factors) for factors in self.terms))
 
     def axis_terms(self, axis: int) -> tuple[GaussianTerm, ...]:
         return tuple(factors[axis] for factors in self.terms)

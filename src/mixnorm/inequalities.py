@@ -2,12 +2,9 @@
 
 Each check evaluates one inequality as lhs / bound on a concrete sampled
 function and wraps the outcome in a ``RatioReport``. A report passes
-exactly when the ratio is at most 1 + tolerance; a zero or non-finite
-bound marks the trial degenerate, which never counts as a pass.
-
-Default tolerances follow the discretization error budget: 1e-2 for
-random-ensemble suites, with tighter values passed explicitly for
-Gaussian sharpness (1e-3) and pure-Plancherel cases (1e-6).
+exactly when the ratio is at most 1 + ``SUITE_TOL``, the discretization
+error budget of the random-ensemble suites; a zero or non-finite bound
+marks the trial degenerate, which never counts as a pass.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ __all__ = [
     "RatioReport",
     "INEQUALITY_IDS",
     "SUITE_TOL",
-    "GAUSSIAN_TOL",
-    "PLANCHEREL_TOL",
     "check_restriction",
     "check_bilinear",
     "check_variant",
@@ -57,8 +52,6 @@ __all__ = [
 INEQUALITY_IDS = ("restriction", "bilinear", "variant", "same_order", "hausdorff_young")
 
 SUITE_TOL = 1e-2
-GAUSSIAN_TOL = 1e-3
-PLANCHEREL_TOL = 1e-6
 
 _ONE = Exponent(1)
 _TWO = Exponent(2)
@@ -116,18 +109,17 @@ def _build_report(
     inequality_id: str,
     lhs: float,
     bound: float,
-    tolerance: float,
     exponents: dict,
     functions: dict,
 ) -> RatioReport:
     descriptors = {"exponents": exponents, "functions": functions}
     if bound <= 0.0 or not math.isfinite(bound) or not math.isfinite(lhs):
         return RatioReport(
-            inequality_id, lhs, bound, None, tolerance, False, True, descriptors
+            inequality_id, lhs, bound, None, SUITE_TOL, False, True, descriptors
         )
     ratio = lhs / bound
     return RatioReport(
-        inequality_id, lhs, bound, ratio, tolerance, ratio <= 1.0 + tolerance, False, descriptors
+        inequality_id, lhs, bound, ratio, SUITE_TOL, ratio <= 1.0 + SUITE_TOL, False, descriptors
     )
 
 
@@ -151,11 +143,7 @@ def _transform_bound(F: SampledFunction, p: Exponent, s: Exponent) -> float:
     )
 
 
-def check_restriction(
-    F: SampledFunction,
-    p: ExponentLike,
-    tolerance: float = SUITE_TOL,
-) -> RatioReport:
+def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     """Frequency-hyperplane restriction against the (p, 1) mixed norm.
 
     lhs is the p'-norm of F-hat on the slice xi'' = 0; the bound is
@@ -166,15 +154,12 @@ def check_restriction(
     lhs = plain_norm(slice_second_zero(fourier(F)), p.conjugate())
     bound = beckner_power(p, F.grid.dims.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
     return _build_report(
-        "restriction", lhs, bound, tolerance, {"p": str(p)}, {"F": _descriptor_of(F)}
+        "restriction", lhs, bound, {"p": str(p)}, {"F": _descriptor_of(F)}
     )
 
 
 def check_bilinear(
-    F: SampledFunction,
-    G: SampledFunction,
-    exponents: ExponentTuple,
-    tolerance: float = SUITE_TOL,
+    F: SampledFunction, G: SampledFunction, exponents: ExponentTuple
 ) -> RatioReport:
     """Bilinear restriction of a product F·G under an admissible tuple."""
     verdict = admissible(exponents)
@@ -193,18 +178,12 @@ def check_bilinear(
         "bilinear",
         lhs,
         bound,
-        tolerance,
         {k: str(v) for k, v in exponents.as_dict().items()},
         {"F": _descriptor_of(F), "G": _descriptor_of(G)},
     )
 
 
-def check_variant(
-    F: SampledFunction,
-    p: ExponentLike,
-    s: ExponentLike,
-    tolerance: float = SUITE_TOL,
-) -> RatioReport:
+def check_variant(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> RatioReport:
     """Reversed-order transform bound: L^{s'} over xi'' outside L^{p'} over xi'."""
     p, s = as_exponent(p), as_exponent(s)
     _require_range(p, "p")
@@ -212,16 +191,11 @@ def check_variant(
     lhs = mixed_norm(fourier(F), MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
-        "variant", lhs, bound, tolerance, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
+        "variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
     )
 
 
-def check_same_order(
-    F: SampledFunction,
-    p: ExponentLike,
-    s: ExponentLike,
-    tolerance: float = SUITE_TOL,
-) -> RatioReport:
+def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> RatioReport:
     """Same-order transform bound, valid only for p <= s.
 
     The regime p > s is exactly where the inequality fails; those
@@ -238,15 +212,11 @@ def check_same_order(
     lhs = mixed_norm(fourier(F), MixedNormSpec.standard(p.conjugate(), s.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
-        "same_order", lhs, bound, tolerance, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
+        "same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
     )
 
 
-def check_hausdorff_young(
-    f: SampledFunction,
-    p: ExponentLike,
-    tolerance: float = SUITE_TOL,
-) -> RatioReport:
+def check_hausdorff_young(f: SampledFunction, p: ExponentLike) -> RatioReport:
     """Plain sharp Hausdorff-Young on a one-group function."""
     p = as_exponent(p)
     _require_range(p, "p")
@@ -255,7 +225,7 @@ def check_hausdorff_young(
     lhs = plain_norm(fourier(f), p.conjugate())
     bound = beckner_power(p, f.grid.dims.d1) * plain_norm(f, p)
     return _build_report(
-        "hausdorff_young", lhs, bound, tolerance, {"p": str(p)}, {"f": _descriptor_of(f)}
+        "hausdorff_young", lhs, bound, {"p": str(p)}, {"f": _descriptor_of(f)}
     )
 
 
@@ -285,11 +255,9 @@ def random_admissible_tuples(count: int, seed: int) -> list[ExponentTuple]:
     return tuples
 
 
-def ensemble_trials(
-    grid: GridSpec, count: int, seed: int, complexity: int = 6
-) -> list[SampledFunction]:
-    """Deterministic list of random-ensemble trial functions."""
-    return [random_ensemble(grid, complexity, seed + index) for index in range(count)]
+def ensemble_trials(grid: GridSpec, count: int, seed: int) -> list[SampledFunction]:
+    """Deterministic list of six-term random-ensemble trial functions."""
+    return [random_ensemble(grid, 6, seed + index) for index in range(count)]
 
 
 def run_suite(
@@ -298,7 +266,6 @@ def run_suite(
     p: ExponentLike | None = None,
     s: ExponentLike | None = None,
     exponent_tuples: Sequence[ExponentTuple] | None = None,
-    tolerance: float = SUITE_TOL,
 ) -> list[RatioReport]:
     """Evaluate one inequality on every supplied function.
 
@@ -314,15 +281,15 @@ def run_suite(
         for exps in exponent_tuples:
             for index, F in enumerate(functions):
                 G = functions[(index + 1) % len(functions)]
-                reports.append(check_bilinear(F, G, exps, tolerance=tolerance))
+                reports.append(check_bilinear(F, G, exps))
         return reports
     for F in functions:
         if inequality_id == "restriction":
-            reports.append(check_restriction(F, p, tolerance=tolerance))
+            reports.append(check_restriction(F, p))
         elif inequality_id == "variant":
-            reports.append(check_variant(F, p, s, tolerance=tolerance))
+            reports.append(check_variant(F, p, s))
         elif inequality_id == "same_order":
-            reports.append(check_same_order(F, p, s, tolerance=tolerance))
+            reports.append(check_same_order(F, p, s))
         else:
-            reports.append(check_hausdorff_young(F, p, tolerance=tolerance))
+            reports.append(check_hausdorff_young(F, p))
     return reports

@@ -27,11 +27,10 @@ __all__ = [
 ]
 
 
-def _normalize_selector(grid: GridSpec, axes: str | None) -> tuple[int, ...]:
+def _normalize_selector(grid: GridSpec, axes: str) -> tuple[int, ...]:
     """Map a group selector to the tuple of group indices it names."""
-    groups = (0,) if grid.dims.d2 == 0 else (0, 1)
-    if axes is None or axes == "all":
-        return groups
+    if axes == "all":
+        return (0,) if grid.dims.d2 == 0 else (0, 1)
     if axes == "first":
         return (0,)
     if axes == "second":
@@ -54,7 +53,7 @@ def _dft_axis(values: np.ndarray, axis: int, spacing: float, forward: bool) -> n
     return (sign / spacing) * ramp * scipy.fft.ifft(ramp * values, axis=axis)
 
 
-def _transform(F: SampledFunction, axes: str | None, forward: bool) -> SampledFunction:
+def _transform(F: SampledFunction, axes: str, forward: bool) -> SampledFunction:
     """Transform the selected groups, flipping each one's side.
 
     Forward followed by inverse on the same axes is the identity up to
@@ -77,7 +76,7 @@ def _transform(F: SampledFunction, axes: str | None, forward: bool) -> SampledFu
     return SampledFunction(F.grid, values, tuple(side))
 
 
-def fourier(F: SampledFunction, axes: str | None = "all") -> SampledFunction:
+def fourier(F: SampledFunction, axes: str = "all") -> SampledFunction:
     """Forward transform over the selected axis groups.
 
     With ``axes="all"`` this is unitary from sampled L² to sampled L² up
@@ -86,7 +85,7 @@ def fourier(F: SampledFunction, axes: str | None = "all") -> SampledFunction:
     return _transform(F, axes, forward=True)
 
 
-def inverse_fourier(F: SampledFunction, axes: str | None = "all") -> SampledFunction:
+def inverse_fourier(F: SampledFunction, axes: str = "all") -> SampledFunction:
     """Inverse transform over the selected axis groups."""
     return _transform(F, axes, forward=False)
 

@@ -136,6 +136,11 @@ class TestSweep:
         assert payload["config"]["target"] == "delta"
         assert len(payload["observed"]) == 5
 
+    def test_delta_passes_below_p_two(self, capsys):
+        code, out, _ = run(capsys, ["sweep", "delta", "--p", "4/3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_delta_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, ["sweep", "delta", "--p", "3"])
         assert code == 2

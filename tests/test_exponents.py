@@ -35,7 +35,6 @@ class TestExponent:
 
     def test_reciprocal_storage_is_exact_for_rationals(self):
         e = Exponent("4/3")
-        assert e.is_rational
         assert e.reciprocal == Fraction(3, 4)
         assert e.value == Fraction(4, 3)
 
@@ -46,6 +45,12 @@ class TestExponent:
             Exponent(0.25)
         with pytest.raises(ValueError):
             Exponent.from_reciprocal(Fraction(3, 2))
+
+    def test_rejects_negative_infinity_and_nan(self):
+        with pytest.raises(ValueError):
+            Exponent(-math.inf)
+        with pytest.raises(ValueError):
+            Exponent(math.nan)
 
     def test_string_round_trip(self):
         for text in ("1", "4/3", "3/2", "2", "7", "inf"):
@@ -70,10 +75,14 @@ class TestExponent:
         assert conjugate(2) == Exponent(2)
         assert conjugate("4/3") == Exponent(4)
 
-    def test_float_inputs_fall_back_to_float_reciprocals(self):
+    def test_float_inputs_become_exact_fractions(self):
         e = Exponent(1.37)
-        assert not e.is_rational
-        assert float(e) == pytest.approx(1.37)
+        assert e.reciprocal == 1 / Fraction(1.37)
+        assert float(e) == 1.37
+
+    @given(st.floats(min_value=1.0, max_value=1e6))
+    def test_float_round_trip_is_exact(self, x):
+        assert float(Exponent(x)) == x
 
 
 class TestAdmissibility:
@@ -90,6 +99,12 @@ class TestAdmissibility:
         assert admissible(ExponentTuple(4, 2, 4, 3, 2)).reason == "s-t-relation"
         assert admissible(ExponentTuple(2, 2, 2, 2, 2)).reason == "r-relation"
         assert admissible(ExponentTuple(8, 2, 8, 2, "4/3")).reason == "r-range"
+
+    def test_relations_are_exact_not_within_a_tolerance(self):
+        # 1/r = 1 - 1/4 - 1/4 demands r = 2; one ulp above 2 is rejected.
+        assert admissible(ExponentTuple(4, 2, 4, 2, 2.0))
+        off = ExponentTuple(4, 2, 4, 2, math.nextafter(2.0, math.inf))
+        assert admissible(off).reason == "r-relation"
 
     def test_verdict_is_falsy_on_failure(self):
         verdict = admissible(ExponentTuple(2, 2, 2, 2, 2))

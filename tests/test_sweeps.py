@@ -147,6 +147,24 @@ class TestDeltaDivergence:
         assert report.expected_slope == 0.0
         assert max(report.observed) <= 1.01
 
+    @pytest.mark.parametrize("p", ["3/2", "4/3", "6/5"])
+    def test_sheared_family_diverges_below_p_two(self, p):
+        # The law eps^(-1/p') grows only 16^(1/p') over 16:1, under 2 for p < 4/3.
+        report = delta_divergence_demo(p)
+        assert report.passed
+        floor = 16.0 ** (-report.expected_slope / 2)
+        assert report.observed[-1] >= floor * report.observed[0]
+        assert f"grow at least {floor:.6g}x" in report.criterion
+
+    def test_growing_epsilon_fails(self):
+        report = delta_divergence_demo(2, epsilon_values=(0.5, 1.0, 2.0))
+        assert not report.passed
+
+    def test_single_epsilon_is_rejected(self):
+        # One point has no growth to measure; it must not pass vacuously.
+        with pytest.raises(ValueError, match="two parameter values"):
+            delta_divergence_demo(2, epsilon_values=(0.5,))
+
     def test_epsilon_floor_propagates(self):
         with pytest.raises(GenerationError):
             delta_divergence_demo(2, epsilon_values=(0.05,))
