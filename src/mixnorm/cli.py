@@ -8,9 +8,9 @@ Three subcommands:
 * ``sweep`` runs one scaling-law sweep and emits its CSV with a JSON
   footer (or a single JSON document).
 
-Every output artifact begins with an echo of the resolved run
-configuration, and nothing in an artifact depends on the clock, so
-identical configurations produce byte-identical files.
+Each verify and sweep artifact echoes the parsed flags (not the values
+a command resolves after parsing), and nothing in an artifact depends on
+the clock, so identical configurations produce byte-identical files.
 
 Exit codes: 0 all checks pass, 1 an inequality or slope check failed,
 2 usage or exponent-gate error.
@@ -32,7 +32,7 @@ from .exponents import (
     beckner_constant,
     beckner_power,
 )
-from .grids import DimensionPair, GridSpec
+from .grids import GridSpec
 from .inequalities import (
     INEQUALITY_IDS,
     RatioReport,
@@ -58,7 +58,7 @@ _VERIFY_NAMES = {name.replace("_", "-"): name for name in INEQUALITY_IDS}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run; echoed into every artifact."""
+    """The parsed flags of a run; echoed into each verify and sweep artifact."""
 
     command: str
     target: str
@@ -76,8 +76,7 @@ class RunConfig:
         return json.dumps({"config": asdict(self)}, sort_keys=True)
 
     def grid(self, d2: int | None = None) -> GridSpec:
-        dims = DimensionPair(self.d1, self.d2 if d2 is None else d2)
-        return GridSpec(dims, self.n, self.extent)
+        return GridSpec(self.d1, self.d2 if d2 is None else d2, self.n, self.extent)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,6 +144,10 @@ def _exponent_args(args, names) -> dict:
     return got
 
 
+def _exponent_tuple(args) -> ExponentTuple:
+    return ExponentTuple(args.p or 2, args.s or 2, args.q or 2, args.t or 2, args.r or 2)
+
+
 def _run_config(args, command: str, target: str, default_format: str) -> RunConfig:
     return RunConfig(
         command=command,
@@ -204,9 +207,7 @@ def _collect_verify_reports(config: RunConfig, args) -> list[RatioReport]:
     tuples = None
     if inequality == "bilinear":
         if any(getattr(args, name) is not None for name in ("p", "s", "q", "t", "r")):
-            exps = ExponentTuple(
-                args.p or 2, args.s or 2, args.q or 2, args.t or 2, args.r or 2
-            )
+            exps = _exponent_tuple(args)
             verdict = admissible(exps)
             if not verdict:
                 raise InadmissibleExponents(verdict.reason, exps)
@@ -282,9 +283,7 @@ def _cmd_sweep(args) -> int:
         report = delta_divergence_demo(p, grid=grid)
         _emit(_sweep_text(report, config), config.out)
         return 0 if report.passed else 1
-    exps = ExponentTuple(
-        args.p or 2, args.s or 2, args.q or 2, args.t or 2, args.r or 2
-    )
+    exps = _exponent_tuple(args)
     grid = config.grid()
     all_pass = True
     chunks = []

@@ -9,6 +9,7 @@ exactly, so the exponent relations are decided without any tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,11 +18,9 @@ from typing import NamedTuple, Union
 __all__ = [
     "Exponent",
     "ExponentTuple",
-    "DimensionPair",
     "Admissibility",
     "InadmissibleExponents",
     "as_exponent",
-    "conjugate",
     "beckner_constant",
     "beckner_power",
     "admissible",
@@ -31,6 +30,7 @@ __all__ = [
 ExponentLike = Union["Exponent", int, float, str, Fraction]
 
 
+@functools.total_ordering
 class Exponent:
     """A Lebesgue exponent in [1, inf], held through its reciprocal."""
 
@@ -100,15 +100,6 @@ class Exponent:
     def __lt__(self, other) -> bool:
         return self._recip > as_exponent(other)._recip
 
-    def __le__(self, other) -> bool:
-        return self._recip >= as_exponent(other)._recip
-
-    def __gt__(self, other) -> bool:
-        return self._recip < as_exponent(other)._recip
-
-    def __ge__(self, other) -> bool:
-        return self._recip <= as_exponent(other)._recip
-
     def __str__(self) -> str:
         return "inf" if self._recip == 0 else str(self.value)
 
@@ -118,33 +109,6 @@ class Exponent:
 
 def as_exponent(x: ExponentLike) -> Exponent:
     return x if isinstance(x, Exponent) else Exponent(x)
-
-
-def conjugate(e: ExponentLike) -> Exponent:
-    return as_exponent(e).conjugate()
-
-
-@dataclass(frozen=True)
-class DimensionPair:
-    """Dimensions of the two Euclidean factors of a product domain.
-
-    ``d2 == 0`` denotes a single-factor domain, used for one-group
-    functions such as marginals, hyperplane slices, and plain
-    Hausdorff-Young checks.
-    """
-
-    d1: int
-    d2: int = 0
-
-    def __post_init__(self):
-        if self.d1 < 1:
-            raise ValueError(f"first factor dimension must be >= 1, got {self.d1}")
-        if self.d2 < 0:
-            raise ValueError(f"second factor dimension must be >= 0, got {self.d2}")
-
-    @property
-    def total(self) -> int:
-        return self.d1 + self.d2
 
 
 @dataclass(frozen=True)

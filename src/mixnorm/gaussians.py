@@ -163,12 +163,6 @@ class SeparableSum:
     def axis_terms(self, axis: int) -> tuple[GaussianTerm, ...]:
         return tuple(factors[axis] for factors in self.terms)
 
-    def as_mix(self) -> GaussianMix:
-        """Flatten a one-axis sum into a plain mixture."""
-        if self.ndim != 1:
-            raise ValueError("only one-axis sums flatten to a mixture")
-        return GaussianMix(tuple(factors[0] for factors in self.terms))
-
 
 def unit_gaussian() -> GaussianMix:
     """The standard Gaussian ``e^{-pi x^2}``, fixed point of the transform."""

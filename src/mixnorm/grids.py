@@ -16,8 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from .exponents import DimensionPair
-
 __all__ = ["GridSpec", "SampledFunction", "FunctionDescriptor", "SPACE", "FREQUENCY"]
 
 SPACE = "space"
@@ -28,11 +26,16 @@ FREQUENCY = "frequency"
 class GridSpec:
     """Uniform discretization shared by the space and frequency sides."""
 
-    dims: DimensionPair
+    d1: int
+    d2: int  # 0 for a single-factor domain: marginals, slices, plain Hausdorff-Young
     n: int = 256
     extent: float = 16.0
 
     def __post_init__(self):
+        if self.d1 < 1:
+            raise ValueError(f"first factor dimension must be >= 1, got {self.d1}")
+        if self.d2 < 0:
+            raise ValueError(f"second factor dimension must be >= 0, got {self.d2}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"points per axis must be even and >= 2, got {self.n}")
         if not self.extent > 0:
@@ -40,7 +43,7 @@ class GridSpec:
 
     @classmethod
     def default(cls, d1: int = 1, d2: int = 1, n: int = 256, extent: float = 16.0) -> "GridSpec":
-        return cls(DimensionPair(d1, d2), n, extent)
+        return cls(d1, d2, n, extent)
 
     @property
     def spacing(self) -> float:
@@ -56,7 +59,7 @@ class GridSpec:
 
     @property
     def ndim(self) -> int:
-        return self.dims.total
+        return self.d1 + self.d2
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,11 +67,11 @@ class GridSpec:
 
     @property
     def first_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.dims.d1))
+        return tuple(range(self.d1))
 
     @property
     def second_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.dims.d1, self.dims.total))
+        return tuple(range(self.d1, self.ndim))
 
     def space_coords(self) -> np.ndarray:
         """Per-axis space sample points, covering [-L/2, L/2)."""
@@ -80,7 +83,7 @@ class GridSpec:
 
     def first_factor(self) -> "GridSpec":
         """The same grid restricted to the first axis group."""
-        return GridSpec(DimensionPair(self.dims.d1, 0), self.n, self.extent)
+        return GridSpec(self.d1, 0, self.n, self.extent)
 
 
 @dataclass
@@ -99,9 +102,17 @@ class FunctionDescriptor:
         return {"family": self.family, "parameters": self.parameters, "seed": self.seed}
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionDescriptor":
+    def from_dict(cls, data: dict[str, Any] | None) -> "FunctionDescriptor":
+        if data is None:
+            raise ValueError("the input had no descriptor, so it cannot be rebuilt")
         return cls(family=data["family"], parameters=dict(data.get("parameters", {})),
                    seed=data.get("seed"))
+
+
+def descriptor_dict(f: Any) -> dict[str, Any] | None:
+    """The descriptor of ``f`` as a dict, or None when it has none."""
+    descriptor = getattr(f, "descriptor", None)
+    return descriptor.to_dict() if descriptor is not None else None
 
 
 @dataclass
@@ -126,7 +137,7 @@ class SampledFunction:
             raise ValueError(
                 f"value shape {self.values.shape} does not match grid shape {self.grid.shape}"
             )
-        expected_groups = 1 if self.grid.dims.d2 == 0 else 2
+        expected_groups = 1 if self.grid.d2 == 0 else 2
         self.side = tuple(self.side)
         if len(self.side) != expected_groups or any(s not in (SPACE, FREQUENCY) for s in self.side):
             raise ValueError(f"side must have {expected_groups} entries of 'space'/'frequency'")
@@ -136,7 +147,7 @@ class SampledFunction:
     def group_axes(self, group: int) -> tuple[int, ...]:
         if group == 0:
             return self.grid.first_axes
-        if group == 1 and self.grid.dims.d2 > 0:
+        if group == 1 and self.grid.d2 > 0:
             return self.grid.second_axes
         raise ValueError(f"no axis group {group} on this grid")
 
@@ -159,12 +170,12 @@ class SampledFunction:
         sidecar = {
             "dtype": "complex128",
             "order": "C",
-            "d1": self.grid.dims.d1,
-            "d2": self.grid.dims.d2,
+            "d1": self.grid.d1,
+            "d2": self.grid.d2,
             "n": self.grid.n,
             "extent": self.grid.extent,
             "side": list(self.side),
-            "descriptor": self.descriptor.to_dict() if self.descriptor else None,
+            "descriptor": descriptor_dict(self),
         }
         path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
 
@@ -172,7 +183,7 @@ class SampledFunction:
     def load(cls, path: str | Path) -> "SampledFunction":
         path = Path(path)
         sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        grid = GridSpec(DimensionPair(sidecar["d1"], sidecar["d2"]), sidecar["n"], sidecar["extent"])
+        grid = GridSpec(sidecar["d1"], sidecar["d2"], sidecar["n"], sidecar["extent"])
         values = np.frombuffer(path.read_bytes(), dtype=np.complex128).reshape(grid.shape)
         descriptor = sidecar.get("descriptor")
         return cls(

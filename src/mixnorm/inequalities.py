@@ -28,7 +28,7 @@ from .exponents import (
     as_exponent,
     beckner_power,
 )
-from .grids import GridSpec, SampledFunction
+from .grids import GridSpec, SampledFunction, descriptor_dict
 from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm
 from .sampling import random_ensemble
 from .transform import fourier, slice_second_zero
@@ -65,7 +65,6 @@ class RatioReport:
     lhs: float
     bound: float
     ratio: float | None
-    tolerance: float
     passed: bool
     degenerate: bool = False
     descriptors: dict = field(default_factory=dict)
@@ -76,7 +75,7 @@ class RatioReport:
             "lhs": self.lhs,
             "bound": self.bound,
             "ratio": self.ratio,
-            "tolerance": self.tolerance,
+            "tolerance": SUITE_TOL,
             "pass": self.passed,
             "degenerate": self.degenerate,
             "descriptors": self.descriptors,
@@ -114,12 +113,10 @@ def _build_report(
 ) -> RatioReport:
     descriptors = {"exponents": exponents, "functions": functions}
     if bound <= 0.0 or not math.isfinite(bound) or not math.isfinite(lhs):
-        return RatioReport(
-            inequality_id, lhs, bound, None, SUITE_TOL, False, True, descriptors
-        )
+        return RatioReport(inequality_id, lhs, bound, None, False, True, descriptors)
     ratio = lhs / bound
     return RatioReport(
-        inequality_id, lhs, bound, ratio, SUITE_TOL, ratio <= 1.0 + SUITE_TOL, False, descriptors
+        inequality_id, lhs, bound, ratio, ratio <= 1.0 + SUITE_TOL, False, descriptors
     )
 
 
@@ -128,14 +125,10 @@ def _require_range(e: Exponent, name: str) -> None:
         raise ValueError(f"{name} must lie in [1, 2], got {e}")
 
 
-def _descriptor_of(F: SampledFunction) -> dict | None:
-    return F.descriptor.to_dict() if F.descriptor is not None else None
-
-
 def _transform_bound(F: SampledFunction, p: Exponent, s: Exponent) -> float:
     """C_p^{d1} C_s^{d2} times the (p, s) mixed norm of F, shared by the
     variant and same-order bounds."""
-    d = F.grid.dims
+    d = F.grid
     return (
         beckner_power(p, d.d1)
         * beckner_power(s, d.d2)
@@ -152,9 +145,9 @@ def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     p = as_exponent(p)
     _require_range(p, "p")
     lhs = plain_norm(slice_second_zero(fourier(F)), p.conjugate())
-    bound = beckner_power(p, F.grid.dims.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
+    bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
     return _build_report(
-        "restriction", lhs, bound, {"p": str(p)}, {"F": _descriptor_of(F)}
+        "restriction", lhs, bound, {"p": str(p)}, {"F": descriptor_dict(F)}
     )
 
 
@@ -170,7 +163,7 @@ def check_bilinear(
     product = F.with_values(F.values * G.values)
     lhs = plain_norm(slice_second_zero(fourier(product)), exponents.r)
     bound = (
-        beckner_power(exponents.r.conjugate(), F.grid.dims.d1)
+        beckner_power(exponents.r.conjugate(), F.grid.d1)
         * mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s))
         * mixed_norm(G, MixedNormSpec.standard(exponents.q, exponents.t))
     )
@@ -179,7 +172,7 @@ def check_bilinear(
         lhs,
         bound,
         {k: str(v) for k, v in exponents.as_dict().items()},
-        {"F": _descriptor_of(F), "G": _descriptor_of(G)},
+        {"F": descriptor_dict(F), "G": descriptor_dict(G)},
     )
 
 
@@ -191,7 +184,7 @@ def check_variant(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ratio
     lhs = mixed_norm(fourier(F), MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
-        "variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
+        "variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}
     )
 
 
@@ -212,7 +205,7 @@ def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ra
     lhs = mixed_norm(fourier(F), MixedNormSpec.standard(p.conjugate(), s.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
-        "same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": _descriptor_of(F)}
+        "same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}
     )
 
 
@@ -220,12 +213,12 @@ def check_hausdorff_young(f: SampledFunction, p: ExponentLike) -> RatioReport:
     """Plain sharp Hausdorff-Young on a one-group function."""
     p = as_exponent(p)
     _require_range(p, "p")
-    if f.grid.dims.d2 != 0:
+    if f.grid.d2 != 0:
         raise ValueError("hausdorff_young applies to one-group functions")
     lhs = plain_norm(fourier(f), p.conjugate())
-    bound = beckner_power(p, f.grid.dims.d1) * plain_norm(f, p)
+    bound = beckner_power(p, f.grid.d1) * plain_norm(f, p)
     return _build_report(
-        "hausdorff_young", lhs, bound, {"p": str(p)}, {"f": _descriptor_of(f)}
+        "hausdorff_young", lhs, bound, {"p": str(p)}, {"f": descriptor_dict(f)}
     )
 
 
@@ -274,6 +267,8 @@ def run_suite(
     """
     if inequality_id not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality {inequality_id!r}; pick from {INEQUALITY_IDS}")
+    if not functions:
+        raise ValueError("a suite needs at least one trial function")
     reports: list[RatioReport] = []
     if inequality_id == "bilinear":
         if not exponent_tuples:

@@ -85,7 +85,7 @@ def _reduce(values: np.ndarray, axes: tuple[int, ...], weight: float, e: Exponen
 def mixed_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
     inner_group = _group_index(spec.inner_axes)
     outer_group = _group_index(spec.outer_axes)
-    if F.grid.dims.d2 == 0:
+    if F.grid.d2 == 0:
         raise ValueError("mixed norms need both axis groups; use plain_norm instead")
     stage = np.abs(F.values)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exponents import ExponentLike, as_exponent
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum
-from .grids import FREQUENCY, SPACE, FunctionDescriptor, GridSpec, SampledFunction
+from .grids import FREQUENCY, SPACE, FunctionDescriptor, GridSpec, SampledFunction, descriptor_dict
 
 __all__ = [
     "GenerationError",
@@ -90,14 +90,14 @@ def _as_mix(f: SampledFunction | GaussianMix) -> GaussianMix:
     if isinstance(analytic, GaussianMix):
         return analytic
     if isinstance(analytic, SeparableSum) and analytic.ndim == 1:
-        return analytic.as_mix()
+        return GaussianMix(analytic.axis_terms(0))
     raise TypeError(
         "an analytic one-factor Gaussian family is required for exact re-evaluation"
     )
 
 
 def _one_factor_sides(grid: GridSpec) -> tuple[str, ...]:
-    return (SPACE,) if grid.dims.d2 == 0 else (SPACE, SPACE)
+    return (SPACE,) if grid.d2 == 0 else (SPACE, SPACE)
 
 
 def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction:
@@ -182,15 +182,15 @@ def dilate_first_axis(f: SampledFunction, t: float, p: ExponentLike) -> SampledF
     exponent = as_exponent(p)
     mix = _as_mix(f)
     grid = f.grid
-    if grid.dims.d2 != 0 or grid.dims.d1 != 1:
+    if grid.d2 != 0 or grid.d1 != 1:
         raise ValueError("dilation acts on one-factor functions")
     dilated = mix.dilate(float(t), float(exponent.reciprocal))
     _check_terms(dilated.terms, grid, SPACE, "dilated")
     _check_terms(dilated.fourier().terms, grid, FREQUENCY, "dilated")
     values = dilated.evaluate(grid.space_coords())
-    base = f.descriptor.to_dict() if f.descriptor else None
     descriptor = FunctionDescriptor(
-        "dilation_shear", {"kind": "dilate", "t": float(t), "p": str(exponent), "base": base}
+        "dilation_shear",
+        {"kind": "dilate", "t": float(t), "p": str(exponent), "base": descriptor_dict(f)},
     )
     return SampledFunction(grid, values, (SPACE,), descriptor, dilated)
 
@@ -206,7 +206,7 @@ def shear_product(
     argument is evaluated in closed form at every grid point. Fails when
     the sheared support or the combined bandwidth leaves the grid.
     """
-    if grid.dims.d1 != 1 or grid.dims.d2 != 1:
+    if grid.d1 != 1 or grid.d2 != 1:
         raise ValueError("the shear construction needs a 1+1 dimensional grid")
     fm = _as_mix(f_first)
     gm = _as_mix(g_second)
@@ -225,9 +225,10 @@ def shear_product(
         )
     x = grid.space_coords()
     values = fm.evaluate(x)[:, None] * gm.evaluate(x[None, :] - x[:, None])
-    f_desc = f_first.descriptor.to_dict() if isinstance(f_first, SampledFunction) and f_first.descriptor else None
-    g_desc = g_second.descriptor.to_dict() if isinstance(g_second, SampledFunction) and g_second.descriptor else None
-    descriptor = FunctionDescriptor("dilation_shear", {"kind": "shear", "f": f_desc, "g": g_desc})
+    descriptor = FunctionDescriptor(
+        "dilation_shear",
+        {"kind": "shear", "f": descriptor_dict(f_first), "g": descriptor_dict(g_second)},
+    )
     return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
 
 
@@ -260,7 +261,7 @@ def near_delta_family(
     grid spacing so the bump is resolvable; for each x the inner integral
     over y is 1 up to sampling error well below 1e-3.
     """
-    if grid.dims.d1 != 1 or grid.dims.d2 != 1:
+    if grid.d1 != 1 or grid.d2 != 1:
         raise ValueError("the near-delta construction needs a 1+1 dimensional grid")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -279,9 +280,8 @@ def near_delta_family(
         row = _periodized_bump(x, float(epsilon), grid.extent)
         bump = np.broadcast_to(row, (grid.n, grid.n))
     values = fm.evaluate(x)[:, None] * bump
-    f_desc = f.descriptor.to_dict() if isinstance(f, SampledFunction) and f.descriptor else None
     descriptor = FunctionDescriptor(
-        "near_delta", {"epsilon": float(epsilon), "shear": bool(shear), "f": f_desc}
+        "near_delta", {"epsilon": float(epsilon), "shear": bool(shear), "f": descriptor_dict(f)}
     )
     return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
 

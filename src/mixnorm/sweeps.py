@@ -33,7 +33,7 @@ from .exponents import (
     beckner_power,
 )
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
-from .grids import FREQUENCY, SPACE, DimensionPair, GridSpec, SampledFunction
+from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm
 from .sampling import TAIL, GenerationError, check_containment, near_delta_family, shear_product
 from .transform import fourier, slice_second_zero
@@ -119,9 +119,8 @@ def default_t_values() -> tuple[float, ...]:
     return tuple(0.5**k for k in range(6))
 
 
-def default_epsilon_values(grid: GridSpec | None = None) -> tuple[float, ...]:
+def default_epsilon_values(grid: GridSpec = GridSpec.default()) -> tuple[float, ...]:
     """Five widths spanning 16:1, stopping above the resolvability floor."""
-    grid = grid if grid is not None else GridSpec.default()
     top = grid.extent / 8.0
     values = tuple(top * 0.5**k for k in range(5))
     if values[-1] < 2.0 * grid.spacing:
@@ -172,7 +171,7 @@ def closed_form_transform(
     """
     if not t > 0:
         raise ValueError(f"dilation parameter must be positive, got {t}")
-    if grid.dims.d1 != 1 or grid.dims.d2 != 1:
+    if grid.d1 != 1 or grid.d2 != 1:
         raise ValueError("the closed form is for the 1+1 dimensional family")
     p = as_exponent(p)
     fhat = f.fourier()
@@ -200,14 +199,13 @@ def _auto_grid(fm: GaussianMix, gm: GaussianMix) -> GridSpec:
     n = scipy.fft.next_fast_len(max(n, 16))
     while n % 2:
         n = scipy.fft.next_fast_len(n + 1)
-    return GridSpec(DimensionPair(1, 1), n, extent)
+    return GridSpec(1, 1, n, extent)
 
 
 def blowup_sweep(
     p: ExponentLike,
     s: ExponentLike,
     t_values: Sequence[float] | None = None,
-    grid: GridSpec | None = None,
 ) -> SweepReport:
     """Ratio of the same-order norms on the dilation-shear family.
 
@@ -233,7 +231,7 @@ def blowup_sweep(
     rhs_spec = MixedNormSpec.standard(p, s)
     for t in t_values:
         f_t = f.dilate(t, p_recip)
-        point_grid = grid if grid is not None else _auto_grid(f_t, g)
+        point_grid = _auto_grid(f_t, g)
         F = shear_product(f_t, g, point_grid)
         Fhat = fourier(F)
         oracle = closed_form_transform(f, g, t, point_grid, p)
@@ -263,7 +261,7 @@ def blowup_sweep(
 def delta_divergence_demo(
     p: ExponentLike,
     epsilon_values: Sequence[float] | None = None,
-    grid: GridSpec | None = None,
+    grid: GridSpec = GridSpec.default(),
     shear: bool = True,
 ) -> SweepReport:
     """The s = 1 ratio under a shrinking sheared near-delta.
@@ -277,7 +275,6 @@ def delta_divergence_demo(
     p = as_exponent(p)
     if not (Exponent(1) < p <= Exponent(2)):
         raise ValueError(f"the divergence regime needs p in (1, 2], got {p}")
-    grid = grid if grid is not None else GridSpec.default()
     epsilon_values = (
         tuple(epsilon_values) if epsilon_values is not None else default_epsilon_values(grid)
     )
@@ -302,7 +299,7 @@ def delta_divergence_demo(
             "(half the log-growth of epsilon^(-1/p'))"
         )
     else:
-        ceiling = beckner_power(p, grid.dims.d1) * 1.01
+        ceiling = beckner_power(p, grid.d1) * 1.01
         passed = max(observed) <= ceiling
         criterion = f"ratios stay below the restriction bound {ceiling:.6g}"
         expected = 0.0
@@ -329,7 +326,7 @@ def _dilated_product(scale: float, axis: int) -> SeparableSum:
 def necessity_sweep(
     exponents: ExponentTuple,
     lambda_values: Sequence[float] | None = None,
-    grid: GridSpec | None = None,
+    grid: GridSpec = GridSpec.default(),
     axis: str = "first",
 ) -> SweepReport:
     """Drift of the bilinear ratio under one-group dilations.
@@ -346,14 +343,13 @@ def necessity_sweep(
         raise ValueError(f"axis must be 'first' or 'second', got {axis!r}")
     if exponents.r < Exponent(2):
         raise ValueError("necessity sweeps need r >= 2 so the constant is defined")
-    grid = grid if grid is not None else GridSpec.default()
-    if grid.dims.d1 != 1 or grid.dims.d2 != 1:
+    if grid.d1 != 1 or grid.d2 != 1:
         raise ValueError("necessity sweeps run on the 1+1 dimensional grid")
     lambda_values = (
         tuple(lambda_values) if lambda_values is not None else default_lambda_values()
     )
     axis_index = 0 if axis == "first" else 1
-    constant = beckner_power(exponents.r.conjugate(), grid.dims.d1)
+    constant = beckner_power(exponents.r.conjugate(), grid.d1)
     x = grid.space_coords()
     f_spec = MixedNormSpec.standard(exponents.p, exponents.s)
     g_spec = MixedNormSpec.standard(exponents.q, exponents.t)
@@ -375,7 +371,7 @@ def necessity_sweep(
         )
     else:
         mismatch = exponents.s.reciprocal + exponents.t.reciprocal - 1
-    expected = float(grid.dims.d1 if axis == "first" else grid.dims.d2) * float(mismatch)
+    expected = float(grid.d1 if axis == "first" else grid.d2) * float(mismatch)
     return _slope_report(
         "necessity",
         lambda_values,

@@ -30,11 +30,11 @@ __all__ = [
 def _normalize_selector(grid: GridSpec, axes: str) -> tuple[int, ...]:
     """Map a group selector to the tuple of group indices it names."""
     if axes == "all":
-        return (0,) if grid.dims.d2 == 0 else (0, 1)
+        return (0,) if grid.d2 == 0 else (0, 1)
     if axes == "first":
         return (0,)
     if axes == "second":
-        if grid.dims.d2 == 0:
+        if grid.d2 == 0:
             raise ValueError("grid has no second axis group")
         return (1,)
     raise ValueError(f"axes selector must be 'first', 'second', or 'all', got {axes!r}")
@@ -98,7 +98,7 @@ def slice_second_zero(Fhat: SampledFunction) -> SampledFunction:
     transform of the second-group marginal up to quadrature error.
     """
     grid = Fhat.grid
-    if grid.dims.d2 == 0:
+    if grid.d2 == 0:
         raise ValueError("grid has no second axis group to slice away")
     if any(entry != FREQUENCY for entry in Fhat.side):
         raise ValueError("slice_second_zero needs the full frequency-side array")
@@ -117,10 +117,10 @@ def marginal_second(F: SampledFunction) -> SampledFunction:
     families.
     """
     grid = F.grid
-    if grid.dims.d2 == 0:
+    if grid.d2 == 0:
         raise ValueError("grid has no second axis group to integrate")
     if any(entry != SPACE for entry in F.side):
         raise ValueError("marginal_second needs the space-side array")
-    weight = grid.spacing ** grid.dims.d2
+    weight = grid.spacing ** grid.d2
     values = weight * F.values.sum(axis=grid.second_axes)
     return SampledFunction(grid.first_factor(), values, (SPACE,))

@@ -14,7 +14,6 @@ import pytest
 
 from mixnorm.cli import main
 from mixnorm.exponents import (
-    DimensionPair,
     ExponentTuple,
     as_exponent,
     beckner_constant,
@@ -188,7 +187,7 @@ def test_criterion_05_inequality_suites(ensembles2, ensembles1):
 
 
 def test_criterion_06_minkowski_orientation():
-    unit_cells = GridSpec(DimensionPair(1, 1), n=2, extent=2.0)
+    unit_cells = GridSpec(1, 1, n=2, extent=2.0)
     identity = SampledFunction(unit_cells, np.eye(2, dtype=complex), (SPACE, SPACE))
     oracle = minkowski_compare(identity, 2, 1)
     oracle_ok = (
@@ -202,7 +201,7 @@ def test_criterion_06_minkowski_orientation():
     random_ok = True
     for _ in range(1000):
         n = int(2 * rng.integers(1, 5))
-        grid = GridSpec(DimensionPair(1, 1), n=n, extent=float(n))
+        grid = GridSpec(1, 1, n=n, extent=float(n))
         F = SampledFunction(grid, rng.random((n, n)).astype(complex), (SPACE, SPACE))
         i, j = rng.choice(len(pool), size=2, replace=False)
         random_ok = random_ok and minkowski_compare(F, pool[i], pool[j]).holds
@@ -252,7 +251,7 @@ def test_criterion_09_delta_divergence():
     span = sheared.parameter_values[0] / sheared.parameter_values[-1]
     doubled = sheared.observed[-1] >= 2.0 * sheared.observed[0]
     control = delta_divergence_demo(2, shear=False)
-    ceiling = beckner_power(2, GRID2.dims.d1) * (1.0 + 1e-2)
+    ceiling = beckner_power(2, GRID2.d1) * (1.0 + 1e-2)
     control_ok = max(control.observed) <= ceiling
     ok = increasing and span == 16.0 and doubled and control_ok
     verdict(

@@ -83,6 +83,14 @@ class TestVerify:
         assert lines[1] == "inequality_id,exponents,ratio,pass"
         assert len(lines) == 5  # config, header, 2 rows, summary
 
+    @pytest.mark.parametrize("inequality", ["restriction", "bilinear"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, capsys, inequality, trials):
+        code, out, err = run(capsys, ["verify", inequality, "--trials", trials])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_inadmissible_tuple_exits_2(self, capsys):
         code, _, err = run(
             capsys,
@@ -93,7 +101,7 @@ class TestVerify:
         assert "s-t-relation" in err
 
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
-        failing = RatioReport("restriction", 2.0, 1.0, 2.0, 1e-2, False)
+        failing = RatioReport("restriction", 2.0, 1.0, 2.0, False)
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [failing])
         code, out, _ = run(capsys, ["verify", "restriction", "--trials", "1"])
         assert code == 1

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mixnorm.exponents import (
     Admissibility,
-    DimensionPair,
     Exponent,
     ExponentTuple,
     InadmissibleExponents,
@@ -18,7 +17,6 @@ from mixnorm.exponents import (
     as_exponent,
     beckner_constant,
     beckner_power,
-    conjugate,
     holder_exponents,
 )
 
@@ -70,10 +68,10 @@ class TestExponent:
             assert total == 1
 
     def test_conjugate_endpoints(self):
-        assert conjugate(1).is_infinite
-        assert conjugate("inf") == Exponent(1)
-        assert conjugate(2) == Exponent(2)
-        assert conjugate("4/3") == Exponent(4)
+        assert Exponent(1).conjugate().is_infinite
+        assert Exponent("inf").conjugate() == Exponent(1)
+        assert Exponent(2).conjugate() == Exponent(2)
+        assert Exponent("4/3").conjugate() == Exponent(4)
 
     def test_float_inputs_become_exact_fractions(self):
         e = Exponent(1.37)
@@ -187,17 +185,6 @@ class TestHolderExponents:
         q = Exponent.from_reciprocal(b)
         u, _ = holder_exponents(p, q, 2, 2)
         assert u.reciprocal == a + b
-
-
-class TestDimensionPair:
-    def test_totals_and_validation(self):
-        d = DimensionPair(2, 1)
-        assert d.total == 3
-        assert DimensionPair(1).d2 == 0
-        with pytest.raises(ValueError):
-            DimensionPair(0, 1)
-        with pytest.raises(ValueError):
-            DimensionPair(1, -1)
 
 
 class TestExponentTuple:

@@ -130,6 +130,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="blowup"):
             check_same_order(GAUSSIAN2, "3/2", "4/3")
 
+    def test_empty_suite_rejected(self):
+        # an empty suite would report zero failures and pass vacuously
+        with pytest.raises(ValueError, match="at least one"):
+            run_suite("restriction", [], p=2)
+
 
 class TestStructure:
     def test_ratio_is_scale_invariant(self):

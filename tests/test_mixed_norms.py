@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from mixnorm.exponents import DimensionPair
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.mixed_norms import (
     DegenerateTrial,
@@ -22,10 +21,10 @@ GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
 
 #: Unit cells: spacing 1 on both axes, so Riemann weights drop out.
-UNIT_CELLS = GridSpec(DimensionPair(1, 1), n=2, extent=2.0)
+UNIT_CELLS = GridSpec(1, 1, n=2, extent=2.0)
 
 #: Total measure 1, so the norm of the constant 1 is 1 for every exponent.
-UNIT_MASS = GridSpec(DimensionPair(1, 1), n=4, extent=1.0)
+UNIT_MASS = GridSpec(1, 1, n=4, extent=1.0)
 
 
 def on_grid(grid, values):
@@ -142,7 +141,7 @@ class TestMinkowskiCompare:
         for trial in range(1000):
             shape = (2 * rng.integers(1, 4), 2 * rng.integers(1, 4))
             n = int(shape[0])
-            grid = GridSpec(DimensionPair(1, 1), n=n, extent=float(n))
+            grid = GridSpec(1, 1, n=n, extent=float(n))
             values = rng.random(shape[0] * shape[0]).reshape(shape[0], shape[0])
             F = on_grid(grid, values)
             a, b = rng.choice(len(pool), size=2, replace=False)

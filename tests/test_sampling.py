@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mixnorm.gaussians import GaussianMix, GaussianTerm, unit_gaussian
-from mixnorm.grids import SPACE, DimensionPair, FunctionDescriptor, GridSpec, SampledFunction
+from mixnorm.grids import SPACE, FunctionDescriptor, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
     dilate_first_axis,
@@ -107,7 +107,7 @@ class TestRandomEnsemble:
             random_ensemble(GRID2, 0, seed=1)
 
     def test_coarse_grid_rejected(self):
-        tiny = GridSpec(DimensionPair(1, 0), 32, 16.0)
+        tiny = GridSpec(1, 0, 32, 16.0)
         with pytest.raises(GenerationError):
             random_ensemble(tiny, 2, seed=0)
 
@@ -121,7 +121,7 @@ class TestDilation:
     def test_lp_norm_preserved(self):
         f = gaussian_product(GRID1, [1.0])
         for p in (1.0, 4.0 / 3.0, 2.0):
-            base = f.analytic.as_mix().lp_norm(p)
+            base = GaussianMix(f.analytic.axis_terms(0)).lp_norm(p)
             for t in (0.5, 1.0, 2.0):
                 g = dilate_first_axis(f, t, p)
                 assert g.analytic.lp_norm(p) == pytest.approx(base, rel=1e-12)
@@ -162,7 +162,10 @@ class TestShearProduct:
         F = shear_product(f, g, GRID2)
         h = GRID2.spacing
         discrete = math.sqrt(float(np.sum(np.abs(F.values) ** 2)) * h * h)
-        expected = f.analytic.as_mix().lp_norm(2) * g.analytic.as_mix().lp_norm(2)
+        expected = (
+            GaussianMix(f.analytic.axis_terms(0)).lp_norm(2)
+            * GaussianMix(g.analytic.axis_terms(0)).lp_norm(2)
+        )
         assert discrete == pytest.approx(expected, rel=1e-10)
 
     def test_values_follow_the_shear(self):
@@ -191,7 +194,8 @@ class TestNearDelta:
         h = GRID2.spacing
         x = GRID2.space_coords()
         inner = np.sum(np.abs(F.values), axis=1) * h
-        np.testing.assert_allclose(inner, np.abs(f.analytic.as_mix().evaluate(x)), rtol=1e-12)
+        expected = np.abs(GaussianMix(f.analytic.axis_terms(0)).evaluate(x))
+        np.testing.assert_allclose(inner, expected, rtol=1e-12)
 
     def test_shear_moves_the_bump(self):
         f = gaussian_product(GRID1, [1.0])
@@ -255,6 +259,20 @@ class TestDescriptors:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             sample_descriptor(FunctionDescriptor("mystery", {}), GRID2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: near_delta_family(GRID2, unit_gaussian(), 1.0),
+            lambda: shear_product(unit_gaussian(), unit_gaussian(), GRID2),
+        ],
+        ids=["near_delta", "shear"],
+    )
+    def test_families_of_bare_mixtures_cannot_be_rebuilt(self, build):
+        # a GaussianMix input has no descriptor, so the family records None
+        F = build()
+        with pytest.raises(ValueError, match="no descriptor"):
+            sample_descriptor(F.descriptor, GRID2)
 
     def test_ensemble_descriptor_requires_seed(self):
         desc = FunctionDescriptor("random_ensemble", {"complexity": 2}, seed=None)

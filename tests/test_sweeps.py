@@ -25,7 +25,7 @@ from mixnorm.transform import fourier
 GRID = GridSpec.default()
 
 #: Wide grid for small-t dilations, whose shears outgrow the default extent.
-WIDE = GridSpec(GRID.dims, n=256, extent=32.0)
+WIDE = GridSpec(GRID.d1, GRID.d2, n=256, extent=32.0)
 
 
 @pytest.fixture(scope="module")
@@ -113,10 +113,6 @@ class TestBlowupSweep:
         assert report.expected_slope == 0.0
         assert abs(report.fitted_slope) <= 0.02
         assert "0.02" in report.criterion
-
-    def test_explicit_grid_is_respected(self):
-        report = blowup_sweep(2, "4/3", t_values=(1.0, 0.5), grid=GRID)
-        assert report.details["grids"] == [{"n": 256, "extent": 16.0}] * 2
 
     def test_exponent_gate(self):
         with pytest.raises(ValueError):

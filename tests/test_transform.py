@@ -84,6 +84,18 @@ class TestFourier:
             fourier(f, "sideways")
 
 
+class TestGridSpec:
+    def test_dimensions_and_validation(self):
+        grid = GridSpec.default(d1=2, d2=1)
+        assert grid.ndim == 3
+        assert grid.first_axes == (0, 1)
+        assert grid.second_axes == (2,)
+        with pytest.raises(ValueError, match="first factor"):
+            GridSpec(0, 1)
+        with pytest.raises(ValueError, match="second factor"):
+            GridSpec(1, -1)
+
+
 class TestSampledFunction:
     def test_wrong_shape_rejected(self):
         # the transforms rely on this check; they do not repeat it
@@ -126,7 +138,7 @@ class TestSliceAndMarginal:
         expected = np.exp(-math.pi * x**2) * 2.0 ** (-0.5)
         np.testing.assert_allclose(marg.values, expected, atol=1e-12)
         assert marg.side == (SPACE,)
-        assert marg.grid.dims.d2 == 0
+        assert marg.grid.d2 == 0
 
     def test_marginal_of_near_delta_recovers_f(self):
         f = gaussian_product(GRID1, [1.0])
