@@ -8,9 +8,9 @@ Three subcommands:
 * ``sweep`` runs one scaling-law sweep and emits its CSV with a JSON
   footer (or a single JSON document).
 
-Each verify and sweep artifact echoes the parsed flags (not the values
-a command resolves after parsing), and nothing in an artifact depends on
-the clock, so identical configurations produce byte-identical files.
+A verify artifact echoes the configuration its run resolves, a sweep
+artifact the parsed flags. Nothing in an artifact depends on the clock,
+so identical configurations produce byte-identical files.
 
 Exit codes: 0 all checks pass, 1 an inequality or slope check failed,
 2 usage or exponent-gate error.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .exponents import (
@@ -58,7 +58,7 @@ _VERIFY_NAMES = {name.replace("_", "-"): name for name in INEQUALITY_IDS}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The parsed flags of a run; echoed into each verify and sweep artifact."""
+    """A run's settings as its artifact echoes them: resolved for verify, as parsed for sweep."""
 
     command: str
     target: str
@@ -75,8 +75,8 @@ class RunConfig:
     def echo_json(self) -> str:
         return json.dumps({"config": asdict(self)}, sort_keys=True)
 
-    def grid(self, d2: int | None = None) -> GridSpec:
-        return GridSpec(self.d1, self.d2 if d2 is None else d2, self.n, self.extent)
+    def grid(self) -> GridSpec:
+        return GridSpec(self.d1, self.d2, self.n, self.extent)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,16 +198,28 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _collect_verify_reports(config: RunConfig, args) -> list[RatioReport]:
-    inequality = _VERIFY_NAMES[config.target]
-    if inequality == "hausdorff_young":
-        grid = config.grid(d2=0)
+def _verify_config(args) -> RunConfig:
+    """The exponents a verify run reads, 2 for each one not given (none for
+    random bilinear tuples), and its grid: d2 = 0 for hausdorff-young."""
+    config = _run_config(args, "verify", args.inequality, "json")
+    inequality = _VERIFY_NAMES[args.inequality]
+    if inequality == "bilinear":
+        exponents = _exponent_tuple(args).as_dict() if config.exponents else {}
     else:
-        grid = config.grid()
+        names = ("p", "s") if inequality in ("variant", "same_order") else ("p",)
+        exponents = {name: str(as_exponent(getattr(args, name) or 2)) for name in names}
+    d2 = 0 if inequality == "hausdorff_young" else config.d2
+    return replace(config, exponents=exponents, d2=d2)
+
+
+def _collect_verify_reports(config: RunConfig) -> list[RatioReport]:
+    inequality = _VERIFY_NAMES[config.target]
+    grid = config.grid()
+    exponents = config.exponents
     tuples = None
     if inequality == "bilinear":
-        if any(getattr(args, name) is not None for name in ("p", "s", "q", "t", "r")):
-            exps = _exponent_tuple(args)
+        if exponents:
+            exps = ExponentTuple(**exponents)
             verdict = admissible(exps)
             if not verdict:
                 raise InadmissibleExponents(verdict.reason, exps)
@@ -215,14 +227,12 @@ def _collect_verify_reports(config: RunConfig, args) -> list[RatioReport]:
         else:
             tuples = random_admissible_tuples(10, config.seed)
     functions = ensemble_trials(grid, config.trials, config.seed)
-    p = args.p if args.p is not None else "2"
-    s = args.s if args.s is not None else "2"
-    return run_suite(inequality, functions, p=p, s=s, exponent_tuples=tuples)
+    return run_suite(inequality, functions, exponents.get("p"), exponents.get("s"), tuples)
 
 
 def _cmd_verify(args) -> int:
-    config = _run_config(args, "verify", args.inequality, "json")
-    reports = _collect_verify_reports(config, args)
+    config = _verify_config(args)
+    reports = _collect_verify_reports(config)
     failures = [r for r in reports if not r.degenerate and not r.passed]
     degenerate = [r for r in reports if r.degenerate]
     summary = {

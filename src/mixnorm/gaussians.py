@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import erfc
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = ["GaussianTerm", "GaussianMix", "SeparableSum", "unit_gaussian"]
 

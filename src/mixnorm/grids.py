@@ -123,6 +123,8 @@ class SampledFunction:
     partially transformed functions are representable. ``analytic``
     optionally carries the closed-form object behind the samples; the
     dilation and shear constructors require it for exact re-evaluation.
+    ``values`` is stored read-only, and reassigning it empties the private
+    memo of inner-norm reductions that ``mixed_norms`` keeps per function.
     """
 
     grid: GridSpec
@@ -131,8 +133,14 @@ class SampledFunction:
     descriptor: FunctionDescriptor | None = None
     analytic: Any = None
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "values":
+            value = np.asarray(value, dtype=np.complex128)
+            value.flags.writeable = False
+            object.__setattr__(self, "_reductions", {})
+        object.__setattr__(self, name, value)
+
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != self.grid.shape:
             raise ValueError(
                 f"value shape {self.values.shape} does not match grid shape {self.grid.shape}"

@@ -29,9 +29,9 @@ from .exponents import (
     beckner_power,
 )
 from .grids import GridSpec, SampledFunction, descriptor_dict
-from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm
+from .mixed_norms import MixedNormSpec, _memo_norm, mixed_norm, plain_norm
 from .sampling import random_ensemble
-from .transform import fourier, slice_second_zero
+from .transform import fourier, marginal_second
 
 __all__ = [
     "RatioReport",
@@ -136,6 +136,18 @@ def _transform_bound(F: SampledFunction, p: Exponent, s: Exponent) -> float:
     )
 
 
+def _slice_norm(F: SampledFunction, a: Exponent) -> float:
+    """L^a norm of F-hat on the slice xi'' = 0, which at the centered grid's
+    zero index is exactly the transform of the x''-marginal."""
+    return plain_norm(fourier(marginal_second(F)), a)
+
+
+def _spectrum_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
+    """``mixed_norm(fourier(F), spec)``, transforming F only when its memo
+    lacks the inner reduction."""
+    return _memo_norm(F, spec, "spectrum", lambda: fourier(F))
+
+
 def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     """Frequency-hyperplane restriction against the (p, 1) mixed norm.
 
@@ -144,7 +156,7 @@ def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     """
     p = as_exponent(p)
     _require_range(p, "p")
-    lhs = plain_norm(slice_second_zero(fourier(F)), p.conjugate())
+    lhs = _slice_norm(F, p.conjugate())
     bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
     return _build_report(
         "restriction", lhs, bound, {"p": str(p)}, {"F": descriptor_dict(F)}
@@ -160,8 +172,8 @@ def check_bilinear(
         raise InadmissibleExponents(verdict.reason, exponents)
     if F.grid != G.grid or F.side != G.side:
         raise ValueError("factors must share a grid and side")
-    product = F.with_values(F.values * G.values)
-    lhs = plain_norm(slice_second_zero(fourier(product)), exponents.r)
+    # The product is freed before the bound norms make their temporaries.
+    lhs = _slice_norm(F.with_values(F.values * G.values), exponents.r)
     bound = (
         beckner_power(exponents.r.conjugate(), F.grid.d1)
         * mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s))
@@ -181,7 +193,7 @@ def check_variant(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ratio
     p, s = as_exponent(p), as_exponent(s)
     _require_range(p, "p")
     _require_range(s, "s")
-    lhs = mixed_norm(fourier(F), MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
+    lhs = _spectrum_norm(F, MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
         "variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}
@@ -202,7 +214,7 @@ def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ra
             f"p = {p} exceeds s = {s}; the same-order bound fails there "
             "(see the blowup sweep)"
         )
-    lhs = mixed_norm(fourier(F), MixedNormSpec.standard(p.conjugate(), s.conjugate()))
+    lhs = _spectrum_norm(F, MixedNormSpec.standard(p.conjugate(), s.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
         "same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}

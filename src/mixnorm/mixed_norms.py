@@ -4,12 +4,15 @@
 the outer norm over the other group. Quadrature is the plain Riemann sum
 with cell weight spacing**(axes in group); an exponent of infinity takes
 an exact maximum of absolute values with no measure factor.
+
+Inner reductions are memoised per function, so repeated norms of one
+function, or of its spectrum, redo only the outer layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,24 +85,34 @@ def _reduce(values: np.ndarray, axes: tuple[int, ...], weight: float, e: Exponen
     return (weight * (values**a).sum(axis=axes)) ** (1.0 / a)
 
 
-def mixed_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
-    inner_group = _group_index(spec.inner_axes)
-    outer_group = _group_index(spec.outer_axes)
+def _memo_norm(F: SampledFunction, spec: MixedNormSpec, source: str, build: Callable) -> float:
+    """The ``spec`` norm of ``build()``, which is F ("samples") or its transform
+    ("spectrum"). F's memo holds the inner reduction; ``build`` runs on a miss."""
     if F.grid.d2 == 0:
         raise ValueError("mixed norms need both axis groups; use plain_norm instead")
-    stage = np.abs(F.values)
-
-    inner_axes = F.group_axes(inner_group)
-    inner_weight = F.group_spacing(inner_group) ** len(inner_axes)
-    stage = _reduce(stage, inner_axes, inner_weight, spec.inner_exponent)
+    key = (source, spec.inner_axes, spec.inner_exponent)
+    stage = F._reductions.get(key)
+    if stage is None:
+        G = build()
+        inner_group = _group_index(spec.inner_axes)
+        inner_axes = G.group_axes(inner_group)
+        inner_weight = G.group_spacing(inner_group) ** len(inner_axes)
+        magnitude = np.abs(G.values)
+        del G  # frees a spectrum before _reduce makes its temporaries
+        stage = _reduce(magnitude, inner_axes, inner_weight, spec.inner_exponent)
+        F._reductions[key] = stage
 
     # The inner reduction only removes trailing or leading group axes,
     # so the surviving axes are exactly the outer group's, renumbered
     # from zero.
     outer_axes = tuple(range(stage.ndim))
-    outer_weight = F.group_spacing(outer_group) ** len(outer_axes)
-    result = _reduce(stage, outer_axes, outer_weight, spec.outer_exponent)
-    return float(result)
+    outer_group = _group_index(spec.outer_axes)
+    spacing = F.group_spacing(outer_group) if source == "samples" else F.grid.freq_spacing
+    return float(_reduce(stage, outer_axes, spacing ** len(outer_axes), spec.outer_exponent))
+
+
+def mixed_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
+    return _memo_norm(F, spec, "samples", lambda: F)
 
 
 def plain_norm(F: SampledFunction, a: ExponentLike) -> float:

@@ -1,11 +1,11 @@
 """Centered, continuum-normalized Fourier transforms on product grids.
 
-The forward map approximates F̂(ξ) = ∫ e^{−2πi x·ξ} F(x) dx by an
-h-scaled DFT per axis. Both grids are centered, so each 1-d transform
-carries a pre- and post-multiplication by (−1)^index together with a
-global sign, rather than any index rolling:
+The forward map approximates F̂(ξ) = ∫ e^{−2πi x·ξ} F(x) dx by one
+h-scaled, centered n-dimensional DFT over all transformed axes. Both
+grids are centered with N even, so per axis
 
     F̂(ξ_k) = h · (−1)^{N/2} · (−1)^k · FFT[(−1)^j F(x_j)]_k
+            = h · fftshift(FFT[ifftshift(F)])_k
 
 Transforms act on whole axis groups (first, second, or all), matching
 the partial-transform structure of the inequalities: a full transform is
@@ -15,7 +15,6 @@ the composition of the second-group and first-group partial transforms.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 
@@ -40,29 +39,16 @@ def _normalize_selector(grid: GridSpec, axes: str) -> tuple[int, ...]:
     raise ValueError(f"axes selector must be 'first', 'second', or 'all', got {axes!r}")
 
 
-def _dft_axis(values: np.ndarray, axis: int, spacing: float, forward: bool) -> np.ndarray:
-    n = values.shape[axis]
-    ramp = np.ones(n)
-    ramp[1::2] = -1.0
-    shape = [1] * values.ndim
-    shape[axis] = n
-    ramp = ramp.reshape(shape)
-    sign = 1.0 if n % 4 == 0 else -1.0  # (-1)^(n/2), n even
-    if forward:
-        return (spacing * sign) * ramp * scipy.fft.fft(ramp * values, axis=axis)
-    return (sign / spacing) * ramp * scipy.fft.ifft(ramp * values, axis=axis)
-
-
 def _transform(F: SampledFunction, axes: str, forward: bool) -> SampledFunction:
     """Transform the selected groups, flipping each one's side.
 
     Forward followed by inverse on the same axes is the identity up to
-    roundoff, since the ramps square to one and FFT/IFFT cancel.
+    roundoff, since the shifts cancel and so do FFT/IFFT.
     """
     want = SPACE if forward else FREQUENCY
     flip = FREQUENCY if forward else SPACE
     side = list(F.side)
-    values = F.values
+    axes_list: list[int] = []
     for group in _normalize_selector(F.grid, axes):
         if side[group] != want:
             direction = "forward" if forward else "inverse"
@@ -71,8 +57,12 @@ def _transform(F: SampledFunction, axes: str, forward: bool) -> SampledFunction:
                 f"cannot apply a {direction} transform there"
             )
         side[group] = flip
-        for axis in F.group_axes(group):
-            values = _dft_axis(values, axis, F.grid.spacing, forward)
+        axes_list += F.group_axes(group)
+    kernel = np.fft.fftn if forward else np.fft.ifftn
+    # ifftshift returns a fresh array, so the kernel may write into it.
+    shifted = np.fft.ifftshift(F.values, axes=axes_list)
+    values = np.fft.fftshift(kernel(shifted, axes=axes_list, out=shifted), axes=axes_list)
+    values *= F.grid.spacing ** (len(axes_list) if forward else -len(axes_list))
     return SampledFunction(F.grid, values, tuple(side))
 
 

@@ -108,6 +108,25 @@ class TestVerify:
         summary = json.loads(out.splitlines()[-1])["summary"]
         assert summary["failures"] == 1
 
+    @pytest.mark.parametrize(
+        "argv, exponents, d2",
+        [
+            (["restriction"], {"p": "2"}, 1),
+            (["restriction", "--s", "3/2"], {"p": "2"}, 1),
+            (["hausdorff-young"], {"p": "2"}, 0),
+            (["hausdorff-young", "--d2", "3", "--p", "1.5"], {"p": "3/2"}, 0),
+            (["variant", "--s", "4/3"], {"p": "2", "s": "4/3"}, 1),
+            (["bilinear"], {}, 1),
+            (["bilinear", "--r", "inf"], {"p": "2", "s": "2", "q": "2", "t": "2", "r": "inf"}, 1),
+        ],
+    )
+    def test_echoes_the_resolved_configuration(self, capsys, argv, exponents, d2):
+        code, out, _ = run(capsys, ["verify", *argv, "--trials", "1"])
+        assert code == 0
+        config = json.loads(out.splitlines()[0])["config"]
+        assert config["exponents"] == exponents
+        assert config["d2"] == d2
+
     def test_file_output_matches_stdout(self, capsys, tmp_path):
         argv = ["verify", "hausdorff-young", "--trials", "2"]
         _, stdout_text, _ = run(capsys, argv)

@@ -48,15 +48,29 @@ def test_package_all_is_the_library_registry():
     assert len(set(expected)) == len(expected)
 
 
-def test_import_leaves_the_cli_unloaded():
+def loaded_by_import(name: str) -> bool:
+    """Whether ``import mixnorm`` in a fresh interpreter loads ``name`` or a submodule of it."""
     package_root = str(Path(mixnorm.__file__).parent.parent)
     pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    code = "import sys, mixnorm; sys.exit('mixnorm.cli' in sys.modules)"
+    prefix = name + "."
+    loaded = f"any(m == {name!r} or m.startswith({prefix!r}) for m in sys.modules)"
+    code = f"import sys, mixnorm; sys.exit({loaded})"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
     )
-    assert result.returncode == 0
+    assert result.returncode in (0, 1)
+    return result.returncode == 1
+
+
+def test_import_leaves_the_cli_unloaded():
+    assert not loaded_by_import("mixnorm.cli")
+
+
+def test_import_leaves_scipy_unloaded():
+    """Importing scipy.fft or scipy.special alone costs about 25 MB of memory."""
+    assert not loaded_by_import("scipy")
+    assert loaded_by_import("numpy")
 
 
 def test_star_import():

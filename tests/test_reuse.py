@@ -1,0 +1,217 @@
+"""Reuse inside the checks: the marginal path for the ξ'' = 0 slice, the
+per-function memo of inner-norm reductions, and what the perf tracer sees.
+
+Every fast path is compared with a direct computation on a fresh object:
+``slice_second_zero(fourier(·))`` for restriction and bilinear, and
+``mixed_norm(fourier(F), spec)`` for variant and same-order.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from mixnorm import inequalities, sweeps
+from mixnorm.exponents import ExponentTuple, as_exponent, beckner_power
+from mixnorm.grids import GridSpec, SampledFunction
+from mixnorm.inequalities import (
+    check_bilinear,
+    check_restriction,
+    check_same_order,
+    check_variant,
+    ensemble_trials,
+    random_admissible_tuples,
+)
+from mixnorm.mixed_norms import MixedNormSpec, mixed_norm, plain_norm
+from mixnorm.transform import fourier, slice_second_zero
+
+GRID = GridSpec.default()
+#: The first trial functions of the criterion-5 suite; the pair (2, 3) has
+#: a bilinear lhs 2.7e6 times below ‖F·G‖₁ under some tuples.
+ENSEMBLE = ensemble_trials(GRID, 4, 500)
+TUPLES = random_admissible_tuples(10, 77)
+#: The criterion-5 exponent grid.
+EXPONENTS = ("1", "4/3", "3/2", "2")
+
+PAIRS = list(itertools.product(EXPONENTS, EXPONENTS))
+SELECTIONS = (
+    [("restriction", p) for p in EXPONENTS]
+    + [("variant", pair) for pair in PAIRS]
+    + [("same_order", (p, s)) for p, s in PAIRS if not as_exponent(p) > as_exponent(s)]
+    + [("bilinear", exps) for exps in TUPLES]
+)
+
+#: The fast paths and the direct computations differ only by roundoff.
+REL = 1e-12
+
+
+def fresh(F):
+    """The same samples in a new object, whose memo starts empty."""
+    return SampledFunction(F.grid, F.values, F.side, F.descriptor)
+
+
+def run_check(inequality, F, G, exps):
+    if inequality == "restriction":
+        return check_restriction(F, exps)
+    if inequality == "bilinear":
+        return check_bilinear(F, G, exps)
+    check = check_variant if inequality == "variant" else check_same_order
+    return check(F, *exps)
+
+
+def direct(inequality, F, G, exps):
+    """lhs, bound, and the scale roundoff in the lhs is relative to, computed
+    on fresh objects through the full transform and its slice."""
+    if inequality == "restriction":
+        p = as_exponent(exps)
+        lhs = plain_norm(slice_second_zero(fourier(fresh(F))), p.conjugate())
+        bound = beckner_power(p, 1) * mixed_norm(fresh(F), MixedNormSpec.standard(p, 1))
+        return lhs, bound, lhs
+    if inequality == "bilinear":
+        product = F.with_values(F.values * G.values)
+        lhs = plain_norm(slice_second_zero(fourier(product)), exps.r)
+        bound = (
+            beckner_power(exps.r.conjugate(), 1)
+            * mixed_norm(fresh(F), MixedNormSpec.standard(exps.p, exps.s))
+            * mixed_norm(fresh(G), MixedNormSpec.standard(exps.q, exps.t))
+        )
+        # Every slice entry is at most ‖F·G‖₁, and both paths round at
+        # that scale, so a lhs far below it keeps fewer correct digits.
+        return lhs, bound, max(lhs, plain_norm(product, 1))
+    p, s = (as_exponent(e) for e in exps)
+    if inequality == "variant":
+        spec = MixedNormSpec.reversed(s.conjugate(), p.conjugate())
+    else:
+        spec = MixedNormSpec.standard(p.conjugate(), s.conjugate())
+    lhs = mixed_norm(fourier(fresh(F)), spec)
+    bound = beckner_power(p, 1) * beckner_power(s, 1) * mixed_norm(
+        fresh(F), MixedNormSpec.standard(p, s)
+    )
+    return lhs, bound, lhs
+
+
+def selection_id(selection):
+    inequality, exps = selection
+    if isinstance(exps, ExponentTuple):
+        return f"{inequality}-{'-'.join(exps.as_dict().values())}"
+    return f"{inequality}-{'-'.join(exps) if isinstance(exps, tuple) else exps}"
+
+
+def assert_matches_direct(inequality, F, G, exps):
+    first = run_check(inequality, F, G, exps)
+    lhs, bound, scale = direct(inequality, F, G, exps)
+    assert abs(first.lhs - lhs) <= REL * scale
+    assert abs(first.bound - bound) <= REL * bound
+    assert first.passed and first.ratio is not None
+    second = run_check(inequality, F, G, exps)
+    assert second.ratio == first.ratio
+    assert (second.lhs, second.bound) == (first.lhs, first.bound)
+
+
+class TestFastPathsMatchTheDirectComputation:
+    @pytest.mark.parametrize("selection", SELECTIONS, ids=selection_id)
+    def test_each_selection_on_fresh_objects(self, selection):
+        inequality, exps = selection
+        functions = [fresh(F) for F in ENSEMBLE]
+        for index, F in enumerate(functions):
+            G = functions[(index + 1) % len(functions)]
+            assert_matches_direct(inequality, F, G, exps)
+
+    def test_every_selection_on_shared_objects(self):
+        """One memo serves the whole suite. On this grid the space cell
+        (12/256) and the frequency cell (1/12) differ."""
+        F, G = ensemble_trials(GridSpec(1, 1, 256, 12.0), 2, 41)
+        for inequality, exps in SELECTIONS:
+            assert_matches_direct(inequality, F, G, exps)
+            assert_matches_direct(inequality, G, F, exps)
+
+
+class TestMemo:
+    SPEC = MixedNormSpec.standard("4/3", "3/2")
+
+    def test_reassigning_values_gives_fresh_norms(self):
+        F = fresh(ENSEMBLE[0])
+        before = mixed_norm(F, self.SPEC)
+        variant_before = check_variant(F, "4/3", "3/2").lhs
+        F.values = 3.0 * ENSEMBLE[0].values
+        assert F._reductions == {}
+        assert mixed_norm(F, self.SPEC) == pytest.approx(3.0 * before, rel=REL)
+        assert check_variant(F, "4/3", "3/2").lhs == pytest.approx(3.0 * variant_before, rel=REL)
+        F.values = ENSEMBLE[1].values
+        assert mixed_norm(F, self.SPEC) == mixed_norm(fresh(ENSEMBLE[1]), self.SPEC)
+
+    def test_values_are_read_only(self):
+        F = fresh(ENSEMBLE[0])
+        with pytest.raises(ValueError):
+            F.values[0, 0] = 1
+        assert not F.with_values(np.ones(GRID.shape)).values.flags.writeable
+
+    def test_with_values_starts_with_an_empty_memo(self):
+        F = fresh(ENSEMBLE[0])
+        norm = mixed_norm(F, self.SPEC)
+        check_same_order(F, "4/3", "3/2")
+        assert F._reductions
+        G = F.with_values(2.0 * F.values)
+        assert G._reductions == {}
+        assert mixed_norm(G, self.SPEC) == pytest.approx(2.0 * norm, rel=REL)
+
+    def test_memo_holds_only_short_vectors(self):
+        F, G = fresh(ENSEMBLE[0]), fresh(ENSEMBLE[1])
+        for inequality, exps in SELECTIONS:
+            run_check(inequality, F, G, exps)
+            if inequality == "bilinear":
+                run_check(inequality, G, F, exps)
+        stages = list(F._reductions.values())
+        assert stages
+        for stage in stages:
+            assert isinstance(stage, np.ndarray)
+            assert stage.ndim == 1 and stage.size <= GRID.n
+            assert stage.dtype == np.float64
+        assert sum(stage.nbytes for stage in stages) <= 64 * 1024
+
+
+def counter(monkeypatch, module, name):
+    """Wrap ``module.name`` and record the array rank of each call's input."""
+    ranks = []
+    original = getattr(module, name)
+
+    def counted(F, *args, **kwargs):
+        ranks.append(F.values.ndim)
+        return original(F, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return ranks
+
+
+class TestTracerView:
+    """The calls go through module attributes, where the perf tracer wraps them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return {
+            "fourier": counter(monkeypatch, inequalities, "fourier"),
+            "marginal": counter(monkeypatch, inequalities, "marginal_second"),
+        }
+
+    def test_restriction_and_bilinear_take_the_marginal(self, calls):
+        F, G = fresh(ENSEMBLE[0]), fresh(ENSEMBLE[1])
+        check_restriction(F, "4/3")
+        assert calls["marginal"] == [2] and calls["fourier"] == [1]
+        check_bilinear(F, G, TUPLES[0])
+        assert calls["marginal"] == [2, 2] and calls["fourier"] == [1, 1]
+
+    def test_variant_and_same_order_transform_at_most_eight_times(self, calls):
+        F = fresh(ENSEMBLE[0])
+        for inequality, exps in SELECTIONS:
+            if inequality in ("variant", "same_order"):
+                run_check(inequality, F, None, exps)
+        assert calls["marginal"] == []
+        assert 0 < calls["fourier"].count(2) <= 8
+
+    def test_necessity_sweep_takes_the_marginal(self, monkeypatch):
+        fourier_ranks = counter(monkeypatch, sweeps, "fourier")
+        marginal_ranks = counter(monkeypatch, sweeps, "marginal_second")
+        lambdas = (0.5, 1.0, 2.0)
+        sweeps.necessity_sweep(ExponentTuple(2, 2, 2, 2, "inf"), lambdas)
+        assert marginal_ranks == [2] * len(lambdas)
+        assert fourier_ranks == [1] * len(lambdas)
