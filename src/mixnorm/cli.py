@@ -8,9 +8,9 @@ Three subcommands:
 * ``sweep`` runs one scaling-law sweep and emits its CSV with a JSON
   footer (or a single JSON document).
 
-A verify artifact echoes the configuration its run resolves, a sweep
-artifact the parsed flags. Nothing in an artifact depends on the clock,
-so identical configurations produce byte-identical files.
+An artifact echoes the configuration its run resolves, defaults filled
+in. Nothing in an artifact depends on the clock, so identical
+configurations produce byte-identical files.
 
 Exit codes: 0 all checks pass, 1 an inequality or slope check failed,
 2 usage or exponent-gate error.
@@ -58,7 +58,7 @@ _VERIFY_NAMES = {name.replace("_", "-"): name for name in INEQUALITY_IDS}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's settings as its artifact echoes them: resolved for verify, as parsed for sweep."""
+    """A run's settings as its artifact echoes them, resolved from the flags."""
 
     command: str
     target: str
@@ -212,6 +212,17 @@ def _verify_config(args) -> RunConfig:
     return replace(config, exponents=exponents, d2=d2)
 
 
+def _sweep_config(args) -> RunConfig:
+    """The exponents a sweep reads, defaults filled in: p = 2 and s = 4/3
+    for blowup, p = 2 for delta, all five (2 each) for necessity."""
+    config = _run_config(args, "sweep", args.kind, "csv")
+    if args.kind == "necessity":
+        return replace(config, exponents=_exponent_tuple(args).as_dict())
+    defaults = {"p": "2", "s": "4/3"} if args.kind == "blowup" else {"p": "2"}
+    exponents = {name: str(as_exponent(getattr(args, name) or d)) for name, d in defaults.items()}
+    return replace(config, exponents=exponents)
+
+
 def _collect_verify_reports(config: RunConfig) -> list[RatioReport]:
     inequality = _VERIFY_NAMES[config.target]
     grid = config.grid()
@@ -275,10 +286,9 @@ def _with_suffix(out: str | None, tag: str) -> str | None:
 
 
 def _cmd_sweep(args) -> int:
-    config = _run_config(args, "sweep", args.kind, "csv")
+    config = _sweep_config(args)
     if args.kind == "blowup":
-        p = as_exponent(args.p if args.p is not None else "2")
-        s = as_exponent(args.s if args.s is not None else "4/3")
+        p, s = as_exponent(config.exponents["p"]), as_exponent(config.exponents["s"])
         if not s < p:
             raise ValueError(
                 f"blowup needs s < p strictly (got p={p}, s={s}); "
@@ -288,12 +298,10 @@ def _cmd_sweep(args) -> int:
         _emit(_sweep_text(report, config), config.out)
         return 0 if report.passed else 1
     if args.kind == "delta":
-        p = as_exponent(args.p if args.p is not None else "2")
-        grid = config.grid()
-        report = delta_divergence_demo(p, grid=grid)
+        report = delta_divergence_demo(as_exponent(config.exponents["p"]), grid=config.grid())
         _emit(_sweep_text(report, config), config.out)
         return 0 if report.passed else 1
-    exps = _exponent_tuple(args)
+    exps = ExponentTuple(**config.exponents)
     grid = config.grid()
     all_pass = True
     chunks = []

@@ -148,14 +148,20 @@ class SeparableSum:
     def evaluate_grid(self, axis_coords: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
         if len(axis_coords) != self.ndim:
             raise ValueError(f"expected {self.ndim} coordinate axes, got {len(axis_coords)}")
-        shape = tuple(len(c) for c in axis_coords)
-        out = np.zeros(shape, dtype=np.complex128)
-        for factors in self.terms:
-            term_values = factors[0].evaluate(axis_coords[0])
-            for axis in range(1, self.ndim):
-                term_values = np.multiply.outer(term_values, factors[axis].evaluate(axis_coords[axis]))
-            out += term_values
-        return out
+        # The sum over K terms of outer products is a rank-K contraction:
+        # stack each axis's factor values into a K x n matrix, fold the
+        # leading axes together term by term (a Khatri-Rao product), and
+        # contract the terms against the last axis in one matmul.
+        rows = [
+            np.stack([term.evaluate(coords) for term in self.axis_terms(axis)])
+            for axis, coords in enumerate(axis_coords)
+        ]
+        if self.ndim == 1:
+            return rows[0].sum(axis=0)
+        left = rows[0]
+        for right in rows[1:-1]:
+            left = (left[:, :, None] * right[:, None, :]).reshape(len(self.terms), -1)
+        return (left.T @ rows[-1]).reshape([len(c) for c in axis_coords])
 
     def fourier(self) -> "SeparableSum":
         return SeparableSum(tuple(tuple(f.fourier() for f in factors) for factors in self.terms))

@@ -123,8 +123,9 @@ class SampledFunction:
     partially transformed functions are representable. ``analytic``
     optionally carries the closed-form object behind the samples; the
     dilation and shear constructors require it for exact re-evaluation.
-    ``values`` is stored read-only, and reassigning it empties the private
-    memo of inner-norm reductions that ``mixed_norms`` keeps per function.
+    ``values`` is stored read-only. Reassigning it runs the same shape and
+    finiteness checks as construction, then empties the private memo of
+    inner-norm reductions that ``mixed_norms`` keeps per function.
     """
 
     grid: GridSpec
@@ -136,21 +137,21 @@ class SampledFunction:
     def __setattr__(self, name: str, value: Any) -> None:
         if name == "values":
             value = np.asarray(value, dtype=np.complex128)
+            if value.shape != self.grid.shape:
+                raise ValueError(
+                    f"value shape {value.shape} does not match grid shape {self.grid.shape}"
+                )
+            if not np.all(np.isfinite(value)):
+                raise ValueError("sampled values must all be finite")
             value.flags.writeable = False
             object.__setattr__(self, "_reductions", {})
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"value shape {self.values.shape} does not match grid shape {self.grid.shape}"
-            )
         expected_groups = 1 if self.grid.d2 == 0 else 2
         self.side = tuple(self.side)
         if len(self.side) != expected_groups or any(s not in (SPACE, FREQUENCY) for s in self.side):
             raise ValueError(f"side must have {expected_groups} entries of 'space'/'frequency'")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("sampled values must all be finite")
 
     def group_axes(self, group: int) -> tuple[int, ...]:
         if group == 0:

@@ -82,6 +82,8 @@ def _reduce(values: np.ndarray, axes: tuple[int, ...], weight: float, e: Exponen
     if e.is_infinite:
         return values.max(axis=axes)
     a = float(e.value)
+    if a == 1.0:  # x**1.0 == x, but NumPy still makes a full pass for it
+        return weight * values.sum(axis=axes)
     return (weight * (values**a).sum(axis=axes)) ** (1.0 / a)
 
 

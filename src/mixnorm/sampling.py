@@ -14,6 +14,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import ExponentLike, as_exponent
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum
@@ -203,7 +204,7 @@ def shear_product(
     """Sample the sheared product ``F(x, y) = f(x) g(y - x)`` exactly.
 
     Both inputs must be analytic one-factor families; the sheared second
-    argument is evaluated in closed form at every grid point. Fails when
+    argument is evaluated in closed form at the 2n - 1 grid lags. Fails when
     the sheared support or the combined bandwidth leaves the grid.
     """
     if grid.d1 != 1 or grid.d2 != 1:
@@ -223,8 +224,11 @@ def shear_product(
             "sheared bandwidth exceeds the frequency extent; refine the grid "
             f"(need frequency extent >= {2.0 * (b_f + b_g):.4g})"
         )
-    x = grid.space_coords()
-    values = fm.evaluate(x)[:, None] * gm.evaluate(x[None, :] - x[:, None])
+    # On the uniform grid x_j - x_i = (j - i) h, so g(y - x) is Toeplitz:
+    # row i is the window of the 2n - 1 lag values starting at lag -i.
+    lags = gm.evaluate(grid.spacing * np.arange(1 - grid.n, grid.n))
+    toeplitz = sliding_window_view(lags, grid.n)[::-1]
+    values = fm.evaluate(grid.space_coords())[:, None] * toeplitz
     descriptor = FunctionDescriptor(
         "dilation_shear",
         {"kind": "shear", "f": descriptor_dict(f_first), "g": descriptor_dict(g_second)},

@@ -188,6 +188,20 @@ class TestSweep:
             assert footer["kind"] == "necessity"
             assert footer["passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv, exponents",
+        [
+            (["blowup"], {"p": "2", "s": "4/3"}),
+            (["delta", "--p", "1.5", "--s", "3/2"], {"p": "3/2"}),
+            (["necessity", "--r", "inf"], {"p": "2", "s": "2", "q": "2", "t": "2", "r": "inf"}),
+        ],
+    )
+    def test_echoes_the_resolved_exponents(self, capsys, argv, exponents):
+        code, out, _ = run(capsys, ["sweep", *argv])
+        assert code == 0
+        config = json.loads(out.splitlines()[0].removeprefix("# config: "))
+        assert config["exponents"] == exponents
+
     def test_failed_sweep_exits_1(self, capsys, monkeypatch):
         failed = SweepReport(
             "blowup", (1.0, 0.5), (1.0, 1.1), 0.14, -0.25, 0.0, False, "slope check"
@@ -214,16 +228,32 @@ class TestDeterminism:
         _, second, _ = run(capsys, ["sweep", "delta"])
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "bilinear", "--trials", "4", "--grid-n", "256"),
+            ("sweep", "blowup", "--format", "json"),
+        ],
+    )
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, argv):
+        outputs = []
+        for threads in ("1", "2"):
+            result = run_module(*argv, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            assert result.returncode == 0
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
-def run_module(*argv):
-    """Run ``python -m mixnorm`` in a fresh interpreter on the code this process imported."""
+
+def run_module(*argv, **env):
+    """Run ``python -m mixnorm`` in a fresh interpreter on the code this
+    process imported, with ``env`` added to its environment."""
     package_root = str(Path(mixnorm.__file__).parent.parent)
     pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
     return subprocess.run(
         [sys.executable, "-m", "mixnorm", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(pythonpath)},
     )
 
 

@@ -15,7 +15,7 @@ from mixnorm.mixed_norms import (
     mixed_norm,
     plain_norm,
 )
-from mixnorm.sampling import gaussian_product
+from mixnorm.sampling import gaussian_product, random_ensemble
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
@@ -70,6 +70,19 @@ class TestMixedNorm:
         expected = (h * np.sum(inner ** (4.0 / 3.0))) ** 0.75
         got = mixed_norm(F, MixedNormSpec.standard("4/3", 2))
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("outer, inner", [(1, 1), (2, 1), (1, 2)])
+    def test_exponent_one_is_the_plain_riemann_sum(self, outer, inner):
+        F = random_ensemble(GRID2, 6, seed=3)
+        h = GRID2.spacing
+
+        def layer(values, a, axis):
+            if a == 1:
+                return h * values.sum(axis=axis)
+            return (h * (values**2.0).sum(axis=axis)) ** 0.5
+
+        expected = layer(layer(np.abs(F.values), inner, 1), outer, 0)
+        assert mixed_norm(F, MixedNormSpec.standard(outer, inner)) == expected
 
     def test_product_gaussian_closed_form(self):
         F = gaussian_product(GRID2, [1.0, 2.0])

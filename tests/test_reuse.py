@@ -13,6 +13,7 @@ import pytest
 
 from mixnorm import inequalities, sweeps
 from mixnorm.exponents import ExponentTuple, as_exponent, beckner_power
+from mixnorm.gaussians import SeparableSum
 from mixnorm.grids import GridSpec, SampledFunction
 from mixnorm.inequalities import (
     check_bilinear,
@@ -140,6 +141,21 @@ class TestMemo:
         F.values = ENSEMBLE[1].values
         assert mixed_norm(F, self.SPEC) == mixed_norm(fresh(ENSEMBLE[1]), self.SPEC)
 
+    @pytest.mark.parametrize(
+        "bad", [np.ones((3, 3)), np.full(GRID.shape, np.nan), np.full(GRID.shape, np.inf)]
+    )
+    def test_rejected_reassignment_leaves_the_function_as_it_was(self, bad):
+        F = fresh(ENSEMBLE[0])
+        norm = mixed_norm(F, self.SPEC)
+        values, memo = F.values, F._reductions
+        stages = dict(memo)
+        with pytest.raises(ValueError):
+            F.values = bad
+        assert F.values is values and F._reductions is memo
+        assert memo.keys() == stages.keys()
+        assert all(memo[key] is stages[key] for key in stages)
+        assert mixed_norm(F, self.SPEC) == norm
+
     def test_values_are_read_only(self):
         F = fresh(ENSEMBLE[0])
         with pytest.raises(ValueError):
@@ -183,6 +199,19 @@ def counter(monkeypatch, module, name):
     return ranks
 
 
+def call_log(monkeypatch, owner, name):
+    """Wrap ``owner.name`` and log one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def logged(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logged)
+    return calls
+
+
 class TestTracerView:
     """The calls go through module attributes, where the perf tracer wraps them."""
 
@@ -215,3 +244,15 @@ class TestTracerView:
         sweeps.necessity_sweep(ExponentTuple(2, 2, 2, 2, "inf"), lambdas)
         assert marginal_ranks == [2] * len(lambdas)
         assert fourier_ranks == [1] * len(lambdas)
+
+    def test_one_sample_per_sweep_point(self, monkeypatch):
+        """The tracer marks a necessity point at its grid evaluation; the
+        blowup points each build one sheared sample."""
+        grid_calls = call_log(monkeypatch, SeparableSum, "evaluate_grid")
+        shear_calls = call_log(monkeypatch, sweeps, "shear_product")
+        lambdas = (0.5, 1.0, 2.0)
+        sweeps.necessity_sweep(ExponentTuple(2, 2, 2, 2, "inf"), lambdas)
+        assert len(grid_calls) == len(lambdas) and shear_calls == []
+        t_values = (1.0, 0.5)
+        sweeps.blowup_sweep(2, "4/3", t_values)
+        assert len(shear_calls) == len(t_values) and len(grid_calls) == len(lambdas)

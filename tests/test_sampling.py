@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mixnorm.gaussians import GaussianMix, GaussianTerm, unit_gaussian
+from mixnorm.gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
 from mixnorm.grids import SPACE, FunctionDescriptor, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
@@ -16,6 +16,7 @@ from mixnorm.sampling import (
     sample_descriptor,
     shear_product,
 )
+from mixnorm.sweeps import _auto_grid
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
@@ -117,6 +118,43 @@ class TestRandomEnsemble:
         assert f.side == (SPACE,)
 
 
+def per_term_sum(separable, coords):
+    """The sampled sum built term by term from outer products, with the
+    pointwise sum of the terms' magnitudes as its rounding scale."""
+    out = np.zeros([len(c) for c in coords], dtype=np.complex128)
+    scale = np.zeros(out.shape)
+    for factors in separable.terms:
+        term = factors[0].evaluate(coords[0])
+        for factor, axis_coords in zip(factors[1:], coords[1:]):
+            term = np.multiply.outer(term, factor.evaluate(axis_coords))
+        out += term
+        scale += np.abs(term)
+    return out, scale
+
+
+class TestEvaluateGrid:
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    def test_matches_the_per_term_sum(self, ndim, count):
+        rng = np.random.default_rng(10 * ndim + count)
+        separable = SeparableSum(tuple(
+            tuple(
+                GaussianTerm(complex(*rng.normal(size=2)), *rng.uniform(0.5, 2.0, size=3))
+                for _ in range(ndim)
+            )
+            for _ in range(count)
+        ))
+        coords = [np.linspace(-3.0, 3.0, n) for n in (8, 10, 12)[:ndim]]
+        values = separable.evaluate_grid(coords)
+        expected, scale = per_term_sum(separable, coords)
+        assert values.shape == expected.shape
+        assert values.dtype == np.complex128 and values.flags.c_contiguous
+        if ndim == 1:
+            np.testing.assert_array_equal(values, expected)
+        else:
+            assert np.all(np.abs(values - expected) <= 8 * np.finfo(float).eps * scale)
+
+
 class TestDilation:
     def test_lp_norm_preserved(self):
         f = gaussian_product(GRID1, [1.0])
@@ -175,6 +213,29 @@ class TestShearProduct:
         i, j = 40, 200
         expected = math.exp(-math.pi * x[i] ** 2) * math.exp(-math.pi * (x[j] - x[i]) ** 2)
         assert F.values[i, j].real == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "f, g, grid",
+        [
+            (
+                GaussianMix((GaussianTerm(1.0, 1.3, 0.4, 0.7),)),
+                GaussianMix(
+                    (GaussianTerm(0.5 + 0.2j, 0.8, -0.3, -0.5), GaussianTerm(1.0, 2.0, 1.0))
+                ),
+                GridSpec(1, 1, 240, 16.0),
+            ),
+            (
+                unit_gaussian().dilate(0.125, 0.5),
+                unit_gaussian(),
+                _auto_grid(unit_gaussian().dilate(0.125, 0.5), unit_gaussian()),
+            ),
+        ],
+    )
+    def test_matches_pointwise_evaluation(self, f, g, grid):
+        x = grid.space_coords()
+        direct = f.evaluate(x)[:, None] * g.evaluate(x[None, :] - x[:, None])
+        values = shear_product(f, g, grid).values
+        assert np.max(np.abs(values - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_support_failure_reports_extent(self):
         wide = GaussianMix((GaussianTerm(1.0, 0.02),))

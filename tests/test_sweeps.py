@@ -103,6 +103,9 @@ class TestBlowupSweep:
         for rhs in blowup_default.details["rhs"]:
             assert rhs == pytest.approx(expected_rhs, rel=1e-6)
 
+    def test_dft_matches_the_closed_form_to_roundoff(self, blowup_default):
+        assert max(blowup_default.details["oracle_max_error"]) <= 2.9e-14
+
     def test_dft_oracle_agreement_recorded(self):
         report = blowup_sweep(2, "4/3", t_values=(1.0, 0.5))
         assert all(err <= 1e-6 for err in report.details["oracle_max_error"])
