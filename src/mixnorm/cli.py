@@ -175,11 +175,13 @@ def _cmd_constants(args) -> int:
             row[f"C_r^{d}"] = beckner_power(r, d)
         rows.append(row)
 
+    config = {"r": [str(r) for r in exponents], "dim": dims, "format": args.format,
+              "out": args.out}
     if args.format == "json":
-        text = "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
+        text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in [{"config": config}, *rows])
     elif args.format == "csv":
         header = ["r", "conjugate", "C_r"] + [f"C_r^{d}" for d in dims]
-        lines = [",".join(header)]
+        lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
         for row in rows:
             lines.append(",".join(str(row[key]) for key in header))
         text = "\n".join(lines) + "\n"

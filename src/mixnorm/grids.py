@@ -9,6 +9,7 @@ both grids, which hyperplane slicing relies on.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,9 @@ __all__ = ["GridSpec", "SampledFunction", "FunctionDescriptor", "SPACE", "FREQUE
 
 SPACE = "space"
 FREQUENCY = "frequency"
+
+#: Serial numbers for assignments of ``SampledFunction.values``.
+_SERIALS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,10 @@ class SampledFunction:
     dilation and shear constructors require it for exact re-evaluation.
     ``values`` is stored read-only. Reassigning it runs the same shape and
     finiteness checks as construction, then empties the private memo of
-    inner-norm reductions that ``mixed_norms`` keeps per function.
+    reductions that ``mixed_norms`` and ``inequalities`` keep per function
+    and draws a fresh ``_values_serial``. Unlike ``id()``, a serial is
+    never reused, so a memo entry keyed by another function's serial
+    cannot outlive that function's values.
     """
 
     grid: GridSpec
@@ -145,6 +152,7 @@ class SampledFunction:
                 raise ValueError("sampled values must all be finite")
             value.flags.writeable = False
             object.__setattr__(self, "_reductions", {})
+            object.__setattr__(self, "_values_serial", next(_SERIALS))
         object.__setattr__(self, name, value)
 
     def __post_init__(self):

@@ -29,7 +29,7 @@ from .exponents import (
     beckner_power,
 )
 from .grids import GridSpec, SampledFunction, descriptor_dict
-from .mixed_norms import MixedNormSpec, _memo_norm, mixed_norm, plain_norm
+from .mixed_norms import MixedNormSpec, _magnitude_norm, _memo_norm, mixed_norm, plain_norm
 from .sampling import random_ensemble
 from .transform import fourier, marginal_second
 
@@ -136,10 +136,22 @@ def _transform_bound(F: SampledFunction, p: Exponent, s: Exponent) -> float:
     )
 
 
-def _slice_norm(F: SampledFunction, a: Exponent) -> float:
-    """L^a norm of F-hat on the slice xi'' = 0, which at the centered grid's
-    zero index is exactly the transform of the x''-marginal."""
-    return plain_norm(fourier(marginal_second(F)), a)
+def _slice_norm(
+    F: SampledFunction, a: Exponent, partner: SampledFunction | None = None
+) -> float:
+    """L^a norm on the slice xi'' = 0 of F-hat, or of (F·partner)-hat.
+
+    At the centered grid's zero index the slice is exactly the transform
+    of the x''-marginal. F's memo keeps the slice magnitude, keyed by the
+    partner's values serial, so each further exponent only reduces it.
+    """
+    key = ("slice", None if partner is None else partner._values_serial)
+    magnitude = F._reductions.get(key)
+    if magnitude is None:
+        product = F if partner is None else F.with_values(F.values * partner.values)
+        magnitude = np.abs(fourier(marginal_second(product)).values)
+        F._reductions[key] = magnitude
+    return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, a)
 
 
 def _spectrum_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
@@ -172,8 +184,7 @@ def check_bilinear(
         raise InadmissibleExponents(verdict.reason, exponents)
     if F.grid != G.grid or F.side != G.side:
         raise ValueError("factors must share a grid and side")
-    # The product is freed before the bound norms make their temporaries.
-    lhs = _slice_norm(F.with_values(F.values * G.values), exponents.r)
+    lhs = _slice_norm(F, exponents.r, G)
     bound = (
         beckner_power(exponents.r.conjugate(), F.grid.d1)
         * mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s))

@@ -77,32 +77,65 @@ def _group_index(name: str) -> int:
     return 0 if name == "first" else 1
 
 
-def _reduce(values: np.ndarray, axes: tuple[int, ...], weight: float, e: Exponent) -> np.ndarray:
-    """One norm layer over the given axes."""
+def _powers(values: np.ndarray, a: float) -> np.ndarray:
+    """``values**a``, except that for 2 < a <= 12 a term whose power is
+    under 2^-1022 of the largest power is 0.
+
+    glibc's pow takes a slow path wherever its result underflows, on nearly
+    a third of a sampled ensemble at a = 9. A skipped term cannot move a sum
+    that holds the largest term, and a row made only of skipped terms has a
+    norm under 2^-83 of the largest row's on grids of up to 2^22 points per
+    group, so no outer layer sees it either; above a = 12 that bound fails.
+    A NaN maximum skips nothing, so NaN still propagates.
+    """
+    floor = values.max() * 2.0 ** (-1022.0 / a) if 2.0 < a <= 12.0 else 0.0
+    if not floor > 0.0:
+        return values**a
+    return np.power(values, a, out=np.zeros_like(values), where=values >= floor)
+
+
+def _reduce_each(
+    values: np.ndarray, layers: list[tuple[tuple[int, ...], float]], e: Exponent
+) -> list[np.ndarray]:
+    """One norm layer per (axes, weight) pair in ``layers``, from one power pass."""
     if e.is_infinite:
-        return values.max(axis=axes)
+        return [values.max(axis=axes) for axes, _ in layers]
     a = float(e.value)
     if a == 1.0:  # x**1.0 == x, but NumPy still makes a full pass for it
-        return weight * values.sum(axis=axes)
-    return (weight * (values**a).sum(axis=axes)) ** (1.0 / a)
+        return [weight * values.sum(axis=axes) for axes, weight in layers]
+    powers = _powers(values, a)
+    return [(weight * powers.sum(axis=axes)) ** (1.0 / a) for axes, weight in layers]
+
+
+def _reduce(values: np.ndarray, axes: tuple[int, ...], weight: float, e: Exponent) -> np.ndarray:
+    """One norm layer over the given axes."""
+    return _reduce_each(values, [(axes, weight)], e)[0]
 
 
 def _memo_norm(F: SampledFunction, spec: MixedNormSpec, source: str, build: Callable) -> float:
     """The ``spec`` norm of ``build()``, which is F ("samples") or its transform
-    ("spectrum"). F's memo holds the inner reduction; ``build`` runs on a miss."""
+    ("spectrum"). F's memo holds the inner reduction; ``build`` runs on a miss.
+
+    Variant and same-order take their inner spectrum norms over opposite
+    groups at the same exponents, so a spectrum miss fills both groups'
+    reductions from one transform and one power pass.
+    """
     if F.grid.d2 == 0:
         raise ValueError("mixed norms need both axis groups; use plain_norm instead")
     key = (source, spec.inner_axes, spec.inner_exponent)
-    stage = F._reductions.get(key)
-    if stage is None:
+    if key not in F._reductions:
         G = build()
-        inner_group = _group_index(spec.inner_axes)
-        inner_axes = G.group_axes(inner_group)
-        inner_weight = G.group_spacing(inner_group) ** len(inner_axes)
+        groups = _GROUPS if source == "spectrum" else (spec.inner_axes,)
+        layers = []
+        for name in groups:
+            axes = G.group_axes(_group_index(name))
+            layers.append((axes, G.group_spacing(_group_index(name)) ** len(axes)))
         magnitude = np.abs(G.values)
-        del G  # frees a spectrum before _reduce makes its temporaries
-        stage = _reduce(magnitude, inner_axes, inner_weight, spec.inner_exponent)
-        F._reductions[key] = stage
+        del G  # frees a spectrum before the reduction makes its temporaries
+        stages = _reduce_each(magnitude, layers, spec.inner_exponent)
+        for name, stage in zip(groups, stages):
+            F._reductions[(source, name, spec.inner_exponent)] = stage
+    stage = F._reductions[key]
 
     # The inner reduction only removes trailing or leading group axes,
     # so the surviving axes are exactly the outer group's, renumbered
@@ -122,8 +155,12 @@ def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
     weight = 1.0
     for group in range(len(F.side)):
         weight *= F.group_spacing(group) ** len(F.group_axes(group))
-    all_axes = tuple(range(F.values.ndim))
-    return float(_reduce(np.abs(F.values), all_axes, weight, as_exponent(a)))
+    return _magnitude_norm(np.abs(F.values), weight, a)
+
+
+def _magnitude_norm(magnitude: np.ndarray, weight: float, a: ExponentLike) -> float:
+    """The L^a norm over every axis of an array of magnitudes with cell weight ``weight``."""
+    return float(_reduce(magnitude, tuple(range(magnitude.ndim)), weight, as_exponent(a)))
 
 
 class MinkowskiComparison(NamedTuple):

@@ -278,8 +278,10 @@ def near_delta_family(
     _check_terms(fm.terms, grid, SPACE, "first-factor")
     x = grid.space_coords()
     if shear:
-        arg = x[None, :] + x[:, None]
-        bump = _periodized_bump(arg, float(epsilon), grid.extent)
+        # x_i + x_j = 2 x_0 + (i + j) h, so the bump is Hankel: row i is the
+        # window of the 2n - 1 sums starting at index i.
+        sums = 2.0 * x[0] + grid.spacing * np.arange(2 * grid.n - 1)
+        bump = sliding_window_view(_periodized_bump(sums, float(epsilon), grid.extent), grid.n)
     else:
         row = _periodized_bump(x, float(epsilon), grid.extent)
         bump = np.broadcast_to(row, (grid.n, grid.n))

@@ -36,7 +36,7 @@ class TestConstants:
             capsys, ["constants", "--r", "4/3", "--dim", "1", "2", "--format", "json"]
         )
         assert code == 0
-        row = json.loads(out.splitlines()[0])
+        row = json.loads(out.splitlines()[1])
         assert row["r"] == "4/3"
         assert row["conjugate"] == "4"
         assert row["C_r"] == pytest.approx(BECKNER_43, abs=1e-15)
@@ -47,7 +47,26 @@ class TestConstants:
             capsys, ["constants", "--r", "2", "--dim", "1", "3", "--format", "csv"]
         )
         assert code == 0
-        assert out.splitlines()[0] == "r,conjugate,C_r,C_r^1,C_r^3"
+        assert out.splitlines()[1] == "r,conjugate,C_r,C_r^1,C_r^3"
+
+    def test_json_echoes_the_resolved_config(self, capsys):
+        code, out, _ = run(capsys, ["constants", "--r", "1.5", "1", "--format", "json"])
+        assert code == 0
+        assert out.splitlines()[0] == (
+            '{"config": {"dim": [1], "format": "json", "out": null, "r": ["3/2", "1"]}}'
+        )
+
+    def test_csv_echoes_the_resolved_config(self, tmp_path):
+        out = tmp_path / "constants.csv"
+        argv = ["constants", "--r", "2", "--dim", "1", "3", "--format", "csv", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[0] == (
+            '# config: {"dim": [1, 3], "format": "csv", "out": "%s", "r": ["2"]}' % out
+        )
+
+    def test_text_table_has_no_echo(self, capsys):
+        _, out, _ = run(capsys, ["constants", "--r", "2"])
+        assert out.splitlines()[0].split() == ["r", "r_conj", "C_r", "C_r^1"]
 
     def test_out_of_range_exits_2(self, capsys):
         code, _, err = run(capsys, ["constants", "--r", "3"])
@@ -261,7 +280,7 @@ class TestConsoleScript:
     def test_installed_entry_point(self):
         result = run_module("constants", "--r", "2", "--format", "json")
         assert result.returncode == 0
-        assert json.loads(result.stdout)["C_r"] == 1.0
+        assert json.loads(result.stdout.splitlines()[1])["C_r"] == 1.0
 
     def test_exit_code_passes_through(self):
         result = run_module("constants", "--r", "3")
@@ -278,4 +297,4 @@ class TestConsoleScript:
             text=True,
         )
         assert result.returncode == 0
-        assert json.loads(result.stdout)["C_r"] == 1.0
+        assert json.loads(result.stdout.splitlines()[1])["C_r"] == 1.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixnorm.exponents import as_exponent
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.mixed_norms import (
     DegenerateTrial,
@@ -83,6 +84,31 @@ class TestMixedNorm:
 
         expected = layer(layer(np.abs(F.values), inner, 1), outer, 0)
         assert mixed_norm(F, MixedNormSpec.standard(outer, inner)) == expected
+
+    @pytest.mark.parametrize("inner", [3, 4, 5, 8, 9, 12, 20, 100])
+    def test_skipped_powers_leave_every_bit(self, inner):
+        """Powers under 2^-1022 of the largest are skipped; every two-layer
+        norm still equals the one built from plain ``values**a``, at scales
+        where the terms underflow, and where the outcome is 0 or inf."""
+        h = GRID2.spacing
+
+        def layer(values, a, axis):
+            if a == math.inf:
+                return values.max(axis=axis)
+            if a == 1:
+                return h * values.sum(axis=axis)
+            return (h * (values**a).sum(axis=axis)) ** (1.0 / a)
+
+        base = random_ensemble(GRID2, 6, seed=500).values
+        for k in (-1000, -150, -100, -50, 0, 60, 1000):
+            F = SampledFunction(GRID2, 2.0**k * base, (SPACE, SPACE))
+            for orient, axis in ((MixedNormSpec.standard, 1), (MixedNormSpec.reversed, 0)):
+                with np.errstate(over="ignore"):
+                    stage = layer(np.abs(F.values), inner, axis)
+                for outer in ("1", "4/3", "3/2", "2", "3", "8", "inf"):
+                    expected = layer(stage, float(as_exponent(outer).value), 0)
+                    with np.errstate(over="ignore"):
+                        assert mixed_norm(F, orient(outer, inner)) == expected
 
     def test_product_gaussian_closed_form(self):
         F = gaussian_product(GRID2, [1.0, 2.0])

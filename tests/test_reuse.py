@@ -1,5 +1,6 @@
 """Reuse inside the checks: the marginal path for the ξ'' = 0 slice, the
-per-function memo of inner-norm reductions, and what the perf tracer sees.
+per-function memo of slices and inner-norm reductions, and what the perf
+tracer sees.
 
 Every fast path is compared with a direct computation on a fresh object:
 ``slice_second_zero(fourier(·))`` for restriction and bilinear, and
@@ -186,6 +187,61 @@ class TestMemo:
         assert sum(stage.nbytes for stage in stages) <= 64 * 1024
 
 
+class TestSliceMemo:
+    """F's memo keeps one slice magnitude per partner, keyed by the
+    partner's values serial, so no stale product is ever reduced."""
+
+    def test_reassigning_the_partner_gives_the_new_products_lhs(self):
+        F, G = fresh(ENSEMBLE[0]), fresh(ENSEMBLE[1])
+        check_bilinear(F, G, TUPLES[0])
+        G.values = ENSEMBLE[2].values
+        expected = check_bilinear(fresh(ENSEMBLE[0]), fresh(ENSEMBLE[2]), TUPLES[0])
+        assert check_bilinear(F, G, TUPLES[0]).lhs == expected.lhs
+        assert_matches_direct("bilinear", F, G, TUPLES[0])
+
+    def test_reassigning_values_empties_the_slice_memo(self):
+        F, G = fresh(ENSEMBLE[0]), fresh(ENSEMBLE[1])
+        check_restriction(F, "4/3")
+        check_bilinear(F, G, TUPLES[0])
+        assert sum(key[0] == "slice" for key in F._reductions) == 2
+        F.values = ENSEMBLE[2].values
+        assert F._reductions == {}
+        new = fresh(ENSEMBLE[2])
+        assert check_restriction(F, "4/3").lhs == check_restriction(new, "4/3").lhs
+        assert check_bilinear(F, G, TUPLES[0]).lhs == check_bilinear(new, G, TUPLES[0]).lhs
+
+    def test_a_new_partner_never_hits_a_freed_partners_entry(self):
+        F, G = fresh(ENSEMBLE[0]), fresh(ENSEMBLE[1])
+        check_bilinear(F, G, TUPLES[0])
+        freed = id(G)
+        del G
+        alive = []  # holds every miss, so the allocator soon hands out the freed id
+        for _ in range(1000):
+            G = fresh(ENSEMBLE[2])
+            if id(G) == freed:
+                break
+            alive.append(G)
+        assert id(G) == freed
+        expected = check_bilinear(fresh(ENSEMBLE[0]), fresh(ENSEMBLE[2]), TUPLES[0])
+        assert check_bilinear(F, G, TUPLES[0]).lhs == expected.lhs
+
+
+class TestSpectrumFill:
+    """A spectrum miss reduces both groups at its inner exponent."""
+
+    EXPONENTS = ("inf", 4, 3, 2)
+
+    @pytest.mark.parametrize("inner", EXPONENTS)
+    def test_one_transform_serves_both_orientations(self, monkeypatch, inner):
+        F = fresh(ENSEMBLE[0])
+        ranks = counter(monkeypatch, inequalities, "fourier")
+        for outer in self.EXPONENTS:
+            for orient in (MixedNormSpec.standard, MixedNormSpec.reversed):
+                spec = orient(outer, inner)
+                assert inequalities._spectrum_norm(F, spec) == mixed_norm(fourier(fresh(F)), spec)
+        assert ranks == [2]
+
+
 def counter(monkeypatch, module, name):
     """Wrap ``module.name`` and record the array rank of each call's input."""
     ranks = []
@@ -229,13 +285,23 @@ class TestTracerView:
         check_bilinear(F, G, TUPLES[0])
         assert calls["marginal"] == [2, 2] and calls["fourier"] == [1, 1]
 
-    def test_variant_and_same_order_transform_at_most_eight_times(self, calls):
+    def test_one_marginal_per_function_and_partner(self, calls):
+        F, G = fresh(ENSEMBLE[0]), fresh(ENSEMBLE[1])
+        for p in EXPONENTS:
+            check_restriction(F, p)
+        assert calls["marginal"] == [2] and calls["fourier"] == [1]
+        for exps in TUPLES:
+            check_bilinear(F, G, exps)
+            check_bilinear(G, F, exps)
+        assert calls["marginal"] == [2] * 3 and calls["fourier"] == [1] * 3
+
+    def test_variant_and_same_order_transform_at_most_four_times(self, calls):
         F = fresh(ENSEMBLE[0])
         for inequality, exps in SELECTIONS:
             if inequality in ("variant", "same_order"):
                 run_check(inequality, F, None, exps)
         assert calls["marginal"] == []
-        assert 0 < calls["fourier"].count(2) <= 8
+        assert 0 < calls["fourier"].count(2) <= 4
 
     def test_necessity_sweep_takes_the_marginal(self, monkeypatch):
         fourier_ranks = counter(monkeypatch, sweeps, "fourier")

@@ -9,6 +9,7 @@ from mixnorm.gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaus
 from mixnorm.grids import SPACE, FunctionDescriptor, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
+    _periodized_bump,
     dilate_first_axis,
     gaussian_product,
     near_delta_family,
@@ -280,6 +281,25 @@ class TestNearDelta:
         f = gaussian_product(GRID1, [1.0])
         with pytest.raises(GenerationError):
             near_delta_family(GRID2, f, epsilon=GRID2.spacing)
+
+    @pytest.mark.parametrize("epsilon", [2.0, 0.125])
+    @pytest.mark.parametrize(
+        "grid, tol",
+        [(GRID2, 0.0), (GridSpec(1, 1, 256, 12.0), 0.0), (GridSpec(1, 1, 240, 10.0), 1e-13)],
+        ids=["default", "extent-12", "non-dyadic"],
+    )
+    def test_matches_pointwise_evaluation(self, grid, tol, epsilon):
+        """The Hankel rows equal the bump at every sum x_i + x_j: exactly
+        where the grid coordinates are dyadic, to roundoff elsewhere."""
+        f = unit_gaussian()
+        x = grid.space_coords()
+        bump = _periodized_bump(x[None, :] + x[:, None], epsilon, grid.extent)
+        direct = f.evaluate(x)[:, None] * bump
+        values = near_delta_family(grid, f, epsilon).values
+        if tol == 0.0:
+            assert np.array_equal(values, direct)
+        else:
+            assert np.max(np.abs(values - direct)) <= tol * np.max(np.abs(direct))
 
     def test_periodization_keeps_mass_at_large_epsilon(self):
         f = gaussian_product(GRID1, [1.0])
