@@ -22,7 +22,7 @@ __all__ = ["GridSpec", "SampledFunction", "FunctionDescriptor", "SPACE", "FREQUE
 SPACE = "space"
 FREQUENCY = "frequency"
 
-#: Serial numbers for assignments of ``SampledFunction.values``.
+#: Construction serials of ``SampledFunction`` objects.
 _SERIALS = itertools.count()
 
 
@@ -119,7 +119,7 @@ def descriptor_dict(f: Any) -> dict[str, Any] | None:
     return descriptor.to_dict() if descriptor is not None else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampledFunction:
     """Complex samples on a product grid, tagged per axis group.
 
@@ -127,12 +127,12 @@ class SampledFunction:
     partially transformed functions are representable. ``analytic``
     optionally carries the closed-form object behind the samples; the
     dilation and shear constructors require it for exact re-evaluation.
-    ``values`` is stored read-only. Reassigning it runs the same shape and
-    finiteness checks as construction, then empties the private memo of
-    reductions that ``mixed_norms`` and ``inequalities`` keep per function
-    and draws a fresh ``_values_serial``. Unlike ``id()``, a serial is
-    never reused, so a memo entry keyed by another function's serial
-    cannot outlive that function's values.
+    A function is immutable: ``values`` is stored read-only, and
+    reassigning any field raises ``dataclasses.FrozenInstanceError``.
+    Construction starts the empty memo of reductions that ``mixed_norms``
+    keeps per function and draws a ``_serial``. Unlike ``id()``, a serial
+    is never reused, so a memo entry keyed by another function's serial
+    cannot outlive that function.
     """
 
     grid: GridSpec
@@ -141,25 +141,22 @@ class SampledFunction:
     descriptor: FunctionDescriptor | None = None
     analytic: Any = None
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name == "values":
-            value = np.asarray(value, dtype=np.complex128)
-            if value.shape != self.grid.shape:
-                raise ValueError(
-                    f"value shape {value.shape} does not match grid shape {self.grid.shape}"
-                )
-            if not np.all(np.isfinite(value)):
-                raise ValueError("sampled values must all be finite")
-            value.flags.writeable = False
-            object.__setattr__(self, "_reductions", {})
-            object.__setattr__(self, "_values_serial", next(_SERIALS))
-        object.__setattr__(self, name, value)
-
     def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.complex128)
+        if values.shape != self.grid.shape:
+            raise ValueError(
+                f"value shape {values.shape} does not match grid shape {self.grid.shape}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sampled values must all be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "side", tuple(self.side))
         expected_groups = 1 if self.grid.d2 == 0 else 2
-        self.side = tuple(self.side)
         if len(self.side) != expected_groups or any(s not in (SPACE, FREQUENCY) for s in self.side):
             raise ValueError(f"side must have {expected_groups} entries of 'space'/'frequency'")
+        object.__setattr__(self, "_reductions", {})
+        object.__setattr__(self, "_serial", next(_SERIALS))
 
     def group_axes(self, group: int) -> tuple[int, ...]:
         if group == 0:

@@ -29,9 +29,9 @@ from .exponents import (
     beckner_power,
 )
 from .grids import GridSpec, SampledFunction, descriptor_dict
-from .mixed_norms import MixedNormSpec, _magnitude_norm, _memo_norm, mixed_norm, plain_norm
+from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm, slice_norm, spectrum_norm
 from .sampling import random_ensemble
-from .transform import fourier, marginal_second
+from .transform import fourier
 
 __all__ = [
     "RatioReport",
@@ -136,30 +136,6 @@ def _transform_bound(F: SampledFunction, p: Exponent, s: Exponent) -> float:
     )
 
 
-def _slice_norm(
-    F: SampledFunction, a: Exponent, partner: SampledFunction | None = None
-) -> float:
-    """L^a norm on the slice xi'' = 0 of F-hat, or of (F·partner)-hat.
-
-    At the centered grid's zero index the slice is exactly the transform
-    of the x''-marginal. F's memo keeps the slice magnitude, keyed by the
-    partner's values serial, so each further exponent only reduces it.
-    """
-    key = ("slice", None if partner is None else partner._values_serial)
-    magnitude = F._reductions.get(key)
-    if magnitude is None:
-        product = F if partner is None else F.with_values(F.values * partner.values)
-        magnitude = np.abs(fourier(marginal_second(product)).values)
-        F._reductions[key] = magnitude
-    return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, a)
-
-
-def _spectrum_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
-    """``mixed_norm(fourier(F), spec)``, transforming F only when its memo
-    lacks the inner reduction."""
-    return _memo_norm(F, spec, "spectrum", lambda: fourier(F))
-
-
 def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     """Frequency-hyperplane restriction against the (p, 1) mixed norm.
 
@@ -168,7 +144,7 @@ def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     """
     p = as_exponent(p)
     _require_range(p, "p")
-    lhs = _slice_norm(F, p.conjugate())
+    lhs = slice_norm(F, p.conjugate())
     bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
     return _build_report(
         "restriction", lhs, bound, {"p": str(p)}, {"F": descriptor_dict(F)}
@@ -184,7 +160,7 @@ def check_bilinear(
         raise InadmissibleExponents(verdict.reason, exponents)
     if F.grid != G.grid or F.side != G.side:
         raise ValueError("factors must share a grid and side")
-    lhs = _slice_norm(F, exponents.r, G)
+    lhs = slice_norm(F, exponents.r, G)
     bound = (
         beckner_power(exponents.r.conjugate(), F.grid.d1)
         * mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s))
@@ -204,7 +180,7 @@ def check_variant(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ratio
     p, s = as_exponent(p), as_exponent(s)
     _require_range(p, "p")
     _require_range(s, "s")
-    lhs = _spectrum_norm(F, MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
+    lhs = spectrum_norm(F, MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
         "variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}
@@ -225,7 +201,7 @@ def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ra
             f"p = {p} exceeds s = {s}; the same-order bound fails there "
             "(see the blowup sweep)"
         )
-    lhs = _spectrum_norm(F, MixedNormSpec.standard(p.conjugate(), s.conjugate()))
+    lhs = spectrum_norm(F, MixedNormSpec.standard(p.conjugate(), s.conjugate()))
     bound = _transform_bound(F, p, s)
     return _build_report(
         "same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}

@@ -5,26 +5,31 @@ the outer norm over the other group. Quadrature is the plain Riemann sum
 with cell weight spacing**(axes in group); an exponent of infinity takes
 an exact maximum of absolute values with no measure factor.
 
-Inner reductions are memoised per function, so repeated norms of one
-function, or of its spectrum, redo only the outer layer.
+Each function's memo belongs to this module alone. An inner reduction of
+F or of F-hat is kept under (spectrum, inner group, inner exponent), so a
+repeated norm redoes only the outer layer; ``slice_norm`` keeps the slice
+magnitude under ("slice", partner serial).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .exponents import Exponent, ExponentLike, as_exponent, holder_exponents
 from .grids import SampledFunction
+from .transform import fourier, marginal_second
 
 __all__ = [
     "MixedNormSpec",
     "MinkowskiComparison",
     "DegenerateTrial",
     "mixed_norm",
+    "spectrum_norm",
     "plain_norm",
+    "slice_norm",
     "minkowski_compare",
     "holder_compare",
 ]
@@ -32,8 +37,6 @@ __all__ = [
 #: Slack for the exact comparison oracles; these identities hold to
 #: roundoff, not merely to quadrature accuracy.
 COMPARISON_TOL = 1e-10
-
-_GROUPS = ("first", "second")
 
 
 class DegenerateTrial(ValueError):
@@ -44,37 +47,29 @@ class DegenerateTrial(ValueError):
 class MixedNormSpec:
     """Which group gets which exponent, and in which evaluation order.
 
-    The inner norm is evaluated first. The two selectors must name
-    different groups, so together they cover every axis.
+    The inner norm is evaluated first, over axis group ``inner_group``
+    (0 for the first, 1 for the second); the outer norm covers the other.
     """
 
-    outer_axes: str
     outer_exponent: Exponent
-    inner_axes: str
+    inner_group: int
     inner_exponent: Exponent
 
     def __post_init__(self):
-        for name in (self.outer_axes, self.inner_axes):
-            if name not in _GROUPS:
-                raise ValueError(f"axis selector must be one of {_GROUPS}, got {name!r}")
-        if self.outer_axes == self.inner_axes:
-            raise ValueError("outer and inner selectors must partition the axes")
+        if self.inner_group not in (0, 1):
+            raise ValueError(f"inner group must be 0 or 1, got {self.inner_group!r}")
         object.__setattr__(self, "outer_exponent", as_exponent(self.outer_exponent))
         object.__setattr__(self, "inner_exponent", as_exponent(self.inner_exponent))
 
     @classmethod
     def standard(cls, outer: ExponentLike, inner: ExponentLike) -> "MixedNormSpec":
         """L^outer over the first group of the L^inner over the second."""
-        return cls("first", as_exponent(outer), "second", as_exponent(inner))
+        return cls(outer, 1, inner)
 
     @classmethod
     def reversed(cls, outer: ExponentLike, inner: ExponentLike) -> "MixedNormSpec":
         """L^outer over the second group of the L^inner over the first."""
-        return cls("second", as_exponent(outer), "first", as_exponent(inner))
-
-
-def _group_index(name: str) -> int:
-    return 0 if name == "first" else 1
+        return cls(outer, 0, inner)
 
 
 def _powers(values: np.ndarray, a: float) -> np.ndarray:
@@ -107,14 +102,9 @@ def _reduce_each(
     return [(weight * powers.sum(axis=axes)) ** (1.0 / a) for axes, weight in layers]
 
 
-def _reduce(values: np.ndarray, axes: tuple[int, ...], weight: float, e: Exponent) -> np.ndarray:
-    """One norm layer over the given axes."""
-    return _reduce_each(values, [(axes, weight)], e)[0]
-
-
-def _memo_norm(F: SampledFunction, spec: MixedNormSpec, source: str, build: Callable) -> float:
-    """The ``spec`` norm of ``build()``, which is F ("samples") or its transform
-    ("spectrum"). F's memo holds the inner reduction; ``build`` runs on a miss.
+def _memo_norm(F: SampledFunction, spec: MixedNormSpec, spectrum: bool) -> float:
+    """The ``spec`` norm of F, or of its transform when ``spectrum`` is set.
+    F's memo holds the inner reduction; F is transformed only on a miss.
 
     Variant and same-order take their inner spectrum norms over opposite
     groups at the same exponents, so a spectrum miss fills both groups'
@@ -122,32 +112,32 @@ def _memo_norm(F: SampledFunction, spec: MixedNormSpec, source: str, build: Call
     """
     if F.grid.d2 == 0:
         raise ValueError("mixed norms need both axis groups; use plain_norm instead")
-    key = (source, spec.inner_axes, spec.inner_exponent)
+    key = (spectrum, spec.inner_group, spec.inner_exponent)
     if key not in F._reductions:
-        G = build()
-        groups = _GROUPS if source == "spectrum" else (spec.inner_axes,)
-        layers = []
-        for name in groups:
-            axes = G.group_axes(_group_index(name))
-            layers.append((axes, G.group_spacing(_group_index(name)) ** len(axes)))
+        G = fourier(F) if spectrum else F
+        groups = (0, 1) if spectrum else (spec.inner_group,)
+        layers = [(G.group_axes(g), G.group_spacing(g) ** len(G.group_axes(g))) for g in groups]
         magnitude = np.abs(G.values)
         del G  # frees a spectrum before the reduction makes its temporaries
         stages = _reduce_each(magnitude, layers, spec.inner_exponent)
-        for name, stage in zip(groups, stages):
-            F._reductions[(source, name, spec.inner_exponent)] = stage
+        for group, stage in zip(groups, stages):
+            F._reductions[(spectrum, group, spec.inner_exponent)] = stage
     stage = F._reductions[key]
 
     # The inner reduction only removes trailing or leading group axes,
-    # so the surviving axes are exactly the outer group's, renumbered
-    # from zero.
-    outer_axes = tuple(range(stage.ndim))
-    outer_group = _group_index(spec.outer_axes)
-    spacing = F.group_spacing(outer_group) if source == "samples" else F.grid.freq_spacing
-    return float(_reduce(stage, outer_axes, spacing ** len(outer_axes), spec.outer_exponent))
+    # so the surviving axes are exactly the outer group's.
+    spacing = F.grid.freq_spacing if spectrum else F.group_spacing(1 - spec.inner_group)
+    return _magnitude_norm(stage, spacing**stage.ndim, spec.outer_exponent)
 
 
 def mixed_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
-    return _memo_norm(F, spec, "samples", lambda: F)
+    return _memo_norm(F, spec, spectrum=False)
+
+
+def spectrum_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
+    """``mixed_norm(fourier(F), spec)``, transforming F only when its memo
+    lacks the inner reduction."""
+    return _memo_norm(F, spec, spectrum=True)
 
 
 def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
@@ -160,7 +150,26 @@ def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
 
 def _magnitude_norm(magnitude: np.ndarray, weight: float, a: ExponentLike) -> float:
     """The L^a norm over every axis of an array of magnitudes with cell weight ``weight``."""
-    return float(_reduce(magnitude, tuple(range(magnitude.ndim)), weight, as_exponent(a)))
+    axes = tuple(range(magnitude.ndim))
+    return float(_reduce_each(magnitude, [(axes, weight)], as_exponent(a))[0])
+
+
+def slice_norm(
+    F: SampledFunction, a: ExponentLike, partner: SampledFunction | None = None
+) -> float:
+    """L^a norm on the slice xi'' = 0 of F-hat, or of (F·partner)-hat.
+
+    At the centered grid's zero index the slice is exactly the transform
+    of the x''-marginal. F's memo keeps the slice magnitude, keyed by the
+    partner's serial, so each further exponent only reduces it.
+    """
+    key = ("slice", None if partner is None else partner._serial)
+    magnitude = F._reductions.get(key)
+    if magnitude is None:
+        product = F if partner is None else F.with_values(F.values * partner.values)
+        magnitude = np.abs(fourier(marginal_second(product)).values)
+        F._reductions[key] = magnitude
+    return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, a)
 
 
 class MinkowskiComparison(NamedTuple):
@@ -187,8 +196,8 @@ def minkowski_compare(
         raise ValueError("comparison is stated for norms; pass absolute values")
     if np.any(F.values.real < 0.0):
         raise ValueError(f"negative values present (min {F.values.real.min():.3g})")
-    a_outermost = mixed_norm(F, MixedNormSpec("first", ea, "second", eb))
-    b_outermost = mixed_norm(F, MixedNormSpec("second", eb, "first", ea))
+    a_outermost = mixed_norm(F, MixedNormSpec.standard(ea, eb))
+    b_outermost = mixed_norm(F, MixedNormSpec.reversed(eb, ea))
     if ea > eb:
         larger, smaller = a_outermost, b_outermost
     else:

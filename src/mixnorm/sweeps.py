@@ -33,9 +33,9 @@ from .exponents import (
 )
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
 from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
-from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm
+from .mixed_norms import MixedNormSpec, mixed_norm, slice_norm
 from .sampling import TAIL, GenerationError, check_containment, near_delta_family, shear_product
-from .transform import fourier, marginal_second
+from .transform import fourier
 
 __all__ = [
     "SweepReport",
@@ -240,11 +240,13 @@ def blowup_sweep(
         f_t = f.dilate(t, p_recip)
         point_grid = _auto_grid(f_t, g)
         F = shear_product(f_t, g, point_grid)
+        rhs = mixed_norm(F, rhs_spec)
         Fhat = fourier(F)
+        del F  # the oracle comparison is this sweep's memory peak
         oracle = closed_form_transform(f, g, t, point_grid, p)
         oracle_errors.append(float(np.max(np.abs(Fhat.values - oracle.values))))
+        del oracle
         lhs = mixed_norm(Fhat, lhs_spec)
-        rhs = mixed_norm(F, rhs_spec)
         observed.append(lhs / rhs)
         rhs_values.append(rhs)
         grids.append({"n": point_grid.n, "extent": point_grid.extent})
@@ -367,8 +369,7 @@ def necessity_sweep(
         check_containment(separable, grid)
         values = separable.evaluate_grid([x, x])
         F = SampledFunction(grid, values, (SPACE, SPACE), analytic=separable)
-        product = F.with_values(F.values * F.values)
-        lhs = plain_norm(fourier(marginal_second(product)), exponents.r)
+        lhs = slice_norm(F, exponents.r, F)
         bound = constant * mixed_norm(F, f_spec) * mixed_norm(F, g_spec)
         observed.append(lhs / bound)
 

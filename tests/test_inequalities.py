@@ -1,12 +1,13 @@
 """Ratio harnesses: Gaussian equality cases, random suites, report plumbing."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mixnorm.exponents import ExponentTuple, InadmissibleExponents, beckner_power
+from mixnorm.exponents import ExponentTuple, InadmissibleExponents, as_exponent, beckner_power
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.inequalities import (
     INEQUALITY_IDS,
@@ -64,6 +65,19 @@ class TestGaussianSharpness:
     def test_hausdorff_young(self):
         report = check_hausdorff_young(GAUSSIAN1, "4/3")
         assert report.ratio == pytest.approx(1.0, abs=GAUSSIAN_TOL)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 1), (1, 2)])
+    def test_unequal_group_dimensions(self, d1, d2):
+        """With d1 != d2 the constants C_p^{d1} and C_p^{d1} C_s^{d2} tell
+        the groups apart, so a constant that swaps them moves a ratio."""
+        F = gaussian_product(GridSpec(d1, d2, 64, 12.0), [1.0] * (d1 + d2))
+        exponents = ("1", "4/3", "3/2", "2")  # the criterion-5 grid
+        reports = [check_restriction(F, p) for p in exponents]
+        for p, s in itertools.product(exponents, exponents):
+            reports.append(check_variant(F, p, s))
+            if not as_exponent(p) > as_exponent(s):
+                reports.append(check_same_order(F, p, s))
+        assert max(abs(r.ratio - 1.0) for r in reports) <= 1e-12
 
 
 class TestRandomSuites:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mixnorm.exponents import as_exponent
-from mixnorm.grids import SPACE, GridSpec, SampledFunction
+from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.mixed_norms import (
     DegenerateTrial,
     MinkowskiComparison,
@@ -33,18 +33,16 @@ def on_grid(grid, values):
 
 
 class TestMixedNormSpec:
-    def test_selectors_must_partition(self):
+    @pytest.mark.parametrize("group", [-1, 2, "second"])
+    def test_inner_group_is_0_or_1(self, group):
         with pytest.raises(ValueError):
-            MixedNormSpec("first", 2, "first", 2)
-        with pytest.raises(ValueError):
-            MixedNormSpec("rows", 2, "second", 2)
+            MixedNormSpec(2, group, 2)
 
     def test_constructors_orient_the_groups(self):
         spec = MixedNormSpec.standard("4/3", 2)
-        assert (spec.outer_axes, spec.inner_axes) == ("first", "second")
+        assert spec.inner_group == 1
         assert str(spec.outer_exponent) == "4/3"
-        rev = MixedNormSpec.reversed("4/3", 2)
-        assert (rev.outer_axes, rev.inner_axes) == ("second", "first")
+        assert MixedNormSpec.reversed("4/3", 2).inner_group == 0
 
 
 class TestMixedNorm:
@@ -71,6 +69,20 @@ class TestMixedNorm:
         expected = (h * np.sum(inner ** (4.0 / 3.0))) ** 0.75
         got = mixed_norm(F, MixedNormSpec.standard("4/3", 2))
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("orient", [MixedNormSpec.standard, MixedNormSpec.reversed])
+    def test_each_layer_takes_its_own_groups_cell(self, orient):
+        """On a partly transformed function the space cell (12/256) and the
+        frequency cell (1/12) differ, so each layer must weigh by its group."""
+        grid = GridSpec(1, 1, 256, 12.0)
+        values = np.abs(np.random.default_rng(6).standard_normal(grid.shape))
+        F = SampledFunction(grid, values, (SPACE, FREQUENCY))
+        cells = [grid.spacing, grid.freq_spacing]
+        spec = orient(2, 1)
+        inner_axis = spec.inner_group
+        inner = cells[inner_axis] * values.sum(axis=inner_axis)
+        expected = (cells[1 - inner_axis] * np.sum(inner**2.0)) ** 0.5
+        assert mixed_norm(F, spec) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("outer, inner", [(1, 1), (2, 1), (1, 2)])
     def test_exponent_one_is_the_plain_riemann_sum(self, outer, inner):

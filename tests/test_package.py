@@ -1,5 +1,7 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and the modules keep
+to their layers."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import mixnorm
+
+SOURCES = sorted(Path(mixnorm.__file__).parent.glob("*.py"))
 
 SUBMODULES = sorted(
     info.name for info in pkgutil.iter_modules(mixnorm.__path__) if info.name != "__main__"
@@ -77,3 +81,25 @@ def test_star_import():
     namespace: dict = {}
     exec("from mixnorm import *", namespace)
     assert set(mixnorm.__all__) <= set(namespace)
+
+
+def test_only_mixed_norms_touches_the_memo():
+    """``grids`` creates each function's memo and serial; only
+    ``mixed_norms`` reads or writes them."""
+    owners = {"grids.py", "mixed_norms.py"}
+    for path in SOURCES:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {node.value for node in nodes if isinstance(node, ast.Constant)}
+        if path.name not in owners:
+            assert not names & {"_reductions", "_serial"}, path.name
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or node.module.startswith("mixnorm"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert private == [], f"{path.name} imports {private} from {node.module}"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ class TestBlowupSweep:
     def test_dft_oracle_agreement_recorded(self):
         report = blowup_sweep(2, "4/3", t_values=(1.0, 0.5))
         assert all(err <= 1e-6 for err in report.details["oracle_max_error"])
+
+    def test_peak_memory_stays_under_four_arrays_of_the_largest_grid(self):
+        """At the largest grid F, F-hat, the oracle and their difference
+        must not all be live at once: 4.5 complex arrays did not fit the
+        benchmark's memory bound."""
+        tracemalloc.start()
+        try:
+            report = blowup_sweep(2, "4/3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_max = max(grid["n"] for grid in report.details["grids"])
+        assert peak <= 4 * 16 * n_max**2
 
     def test_equal_exponents_stay_flat(self):
         report = blowup_sweep(2, 2, t_values=(1.0, 0.5, 0.25, 0.125))
