@@ -9,8 +9,10 @@ Three subcommands:
   footer (or a single JSON document).
 
 An artifact echoes the configuration its run resolves, defaults filled
-in. Nothing in an artifact depends on the clock, so identical
-configurations produce byte-identical files.
+in. This module alone lays artifacts out: the echo, one line per row,
+then an optional footer, except for a sweep's single JSON document and
+the plain ``constants`` table. Nothing in an artifact depends on the
+clock, so identical configurations produce byte-identical files.
 
 Exit codes: 0 all checks pass, 1 an inequality or slope check failed,
 2 usage or exponent-gate error.
@@ -19,7 +21,10 @@ Exit codes: 0 all checks pass, 1 an inequality or slope check failed,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -38,8 +43,6 @@ from .inequalities import (
     RatioReport,
     ensemble_trials,
     random_admissible_tuples,
-    reports_to_csv,
-    reports_to_jsonl,
     run_suite,
 )
 from .sampling import GenerationError
@@ -71,9 +74,6 @@ class RunConfig:
     exponents: dict = field(default_factory=dict)
     format: str = "json"
     out: str | None = None
-
-    def echo_json(self) -> str:
-        return json.dumps({"config": asdict(self)}, sort_keys=True)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.d1, self.d2, self.n, self.extent)
@@ -135,20 +135,37 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _exponent_args(args, names) -> dict:
-    got = {}
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            got[name] = str(as_exponent(value))
-    return got
+def _render(
+    config: dict, fmt: str, records: list[dict], table: list[list], footer: dict | None
+) -> str:
+    """An artifact: the config echo, one line per row, then ``footer`` unless None.
+
+    JSON writes each of ``{"config": config}``, ``records`` and the footer
+    as one sorted-key object per line. CSV writes a ``# config:`` comment,
+    then ``table`` (header row first) through ``csv.writer``, which gives
+    a float its repr and None an empty cell, then the footer as a ``#``
+    comment.
+    """
+    if fmt == "json":
+        objects = [{"config": config}, *records, *([] if footer is None else [footer])]
+        return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)
+    buffer = io.StringIO()
+    buffer.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    csv.writer(buffer, lineterminator="\n").writerows(table)
+    if footer is not None:
+        buffer.write("# " + json.dumps(footer, sort_keys=True) + "\n")
+    return buffer.getvalue()
 
 
 def _exponent_tuple(args) -> ExponentTuple:
-    return ExponentTuple(args.p or 2, args.s or 2, args.q or 2, args.t or 2, args.r or 2)
+    """The five exponent flags, 2 for each one not given."""
+    return ExponentTuple(*(2 if getattr(args, n) is None else getattr(args, n) for n in "psqtr"))
 
 
-def _run_config(args, command: str, target: str, default_format: str) -> RunConfig:
+def _run_config(
+    args, command: str, target: str, default_format: str, exponents: dict
+) -> RunConfig:
+    _exponent_tuple(args)  # a malformed exponent flag is an error even where the run ignores it
     return RunConfig(
         command=command,
         target=target,
@@ -158,7 +175,7 @@ def _run_config(args, command: str, target: str, default_format: str) -> RunConf
         d2=args.d2,
         seed=args.seed,
         trials=args.trials,
-        exponents=_exponent_args(args, ("p", "s", "q", "t", "r")),
+        exponents=exponents,
         format=args.format or default_format,
         out=args.out,
     )
@@ -167,35 +184,21 @@ def _run_config(args, command: str, target: str, default_format: str) -> RunConf
 def _cmd_constants(args) -> int:
     exponents = [as_exponent(raw) for raw in args.r]
     dims = list(args.dim)
-    rows = []
-    for r in exponents:
-        c = beckner_constant(r)
-        row = {"r": str(r), "conjugate": str(r.conjugate()), "C_r": c}
-        for d in dims:
-            row[f"C_r^{d}"] = beckner_power(r, d)
-        rows.append(row)
-
-    config = {"r": [str(r) for r in exponents], "dim": dims, "format": args.format,
-              "out": args.out}
-    if args.format == "json":
-        text = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in [{"config": config}, *rows])
-    elif args.format == "csv":
-        header = ["r", "conjugate", "C_r"] + [f"C_r^{d}" for d in dims]
-        lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(row[key]) for key in header))
+    header = ["r", "conjugate", "C_r"] + [f"C_r^{d}" for d in dims]
+    table = [
+        [str(r), str(r.conjugate()), beckner_constant(r)] + [beckner_power(r, d) for d in dims]
+        for r in exponents
+    ]
+    if args.format is None:
+        lines = [f"{'r':>8} {'r_conj':>8}" + "".join(f" {name:>18}" for name in header[2:])]
+        for r, conjugate, *constants in table:
+            lines.append(f"{r:>8} {conjugate:>8}" + "".join(f" {c:>18.15f}" for c in constants))
         text = "\n".join(lines) + "\n"
     else:
-        header = f"{'r':>8} {'r_conj':>8} {'C_r':>18}" + "".join(
-            f" {'C_r^' + str(d):>18}" for d in dims
-        )
-        lines = [header]
-        for row in rows:
-            line = f"{row['r']:>8} {row['conjugate']:>8} {row['C_r']:>18.15f}"
-            for d in dims:
-                line += f" {row[f'C_r^{d}']:>18.15f}"
-            lines.append(line)
-        text = "\n".join(lines) + "\n"
+        config = {"r": [str(r) for r in exponents], "dim": dims, "format": args.format,
+                  "out": args.out}
+        records = [dict(zip(header, row)) for row in table]
+        text = _render(config, args.format, records, [header, *table], None)
     _emit(text, args.out)
     return 0
 
@@ -203,26 +206,28 @@ def _cmd_constants(args) -> int:
 def _verify_config(args) -> RunConfig:
     """The exponents a verify run reads, 2 for each one not given (none for
     random bilinear tuples), and its grid: d2 = 0 for hausdorff-young."""
-    config = _run_config(args, "verify", args.inequality, "json")
     inequality = _VERIFY_NAMES[args.inequality]
     if inequality == "bilinear":
-        exponents = _exponent_tuple(args).as_dict() if config.exponents else {}
+        given = any(getattr(args, name) is not None for name in "psqtr")
+        exponents = _exponent_tuple(args).as_dict() if given else {}
     else:
         names = ("p", "s") if inequality in ("variant", "same_order") else ("p",)
         exponents = {name: str(as_exponent(getattr(args, name) or 2)) for name in names}
-    d2 = 0 if inequality == "hausdorff_young" else config.d2
-    return replace(config, exponents=exponents, d2=d2)
+    config = _run_config(args, "verify", args.inequality, "json", exponents)
+    return replace(config, d2=0) if inequality == "hausdorff_young" else config
 
 
 def _sweep_config(args) -> RunConfig:
     """The exponents a sweep reads, defaults filled in: p = 2 and s = 4/3
     for blowup, p = 2 for delta, all five (2 each) for necessity."""
-    config = _run_config(args, "sweep", args.kind, "csv")
     if args.kind == "necessity":
-        return replace(config, exponents=_exponent_tuple(args).as_dict())
-    defaults = {"p": "2", "s": "4/3"} if args.kind == "blowup" else {"p": "2"}
-    exponents = {name: str(as_exponent(getattr(args, name) or d)) for name, d in defaults.items()}
-    return replace(config, exponents=exponents)
+        exponents = _exponent_tuple(args).as_dict()
+    else:
+        defaults = {"p": "2", "s": "4/3"} if args.kind == "blowup" else {"p": "2"}
+        exponents = {
+            name: str(as_exponent(getattr(args, name) or d)) for name, d in defaults.items()
+        }
+    return _run_config(args, "sweep", args.kind, "csv", exponents)
 
 
 def _collect_verify_reports(config: RunConfig) -> list[RatioReport]:
@@ -246,38 +251,31 @@ def _collect_verify_reports(config: RunConfig) -> list[RatioReport]:
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
     reports = _collect_verify_reports(config)
-    failures = [r for r in reports if not r.degenerate and not r.passed]
-    degenerate = [r for r in reports if r.degenerate]
-    summary = {
-        "summary": {
-            "trials": len(reports),
-            "failures": len(failures),
-            "degenerate": len(degenerate),
-        }
-    }
-    if config.format == "csv":
-        text = "# config: " + json.dumps(asdict(config), sort_keys=True) + "\n"
-        text += reports_to_csv(reports)
-        text += "# " + json.dumps(summary, sort_keys=True) + "\n"
-    else:
-        text = config.echo_json() + "\n"
-        text += reports_to_jsonl(reports)
-        text += json.dumps(summary, sort_keys=True) + "\n"
-    _emit(text, config.out)
+    failures = sum(not r.degenerate and not r.passed for r in reports)
+    degenerate = sum(r.degenerate for r in reports)
+    summary = {"summary": {"trials": len(reports), "failures": failures, "degenerate": degenerate}}
+    table = [["inequality_id", "exponents", "ratio", "pass"]]
+    for r in reports:
+        exps = r.descriptors.get("exponents", {})
+        cell = " ".join(f"{k}={v}" for k, v in exps.items())
+        table.append([r.inequality_id, cell, r.ratio, r.passed])
+    records = [r.json_dict() for r in reports]
+    _emit(_render(asdict(config), config.format, records, table, summary), config.out)
     return 1 if failures else 0
 
 
 def _sweep_text(report: SweepReport, config: RunConfig) -> str:
+    """The sweep's fields and config as one JSON document, or its points as
+    CSV with the fit as the footer."""
+    fields = asdict(report)
     if config.format == "json":
-        payload = json.loads(report.to_json())
-        payload["config"] = asdict(config)
-        return json.dumps(payload, sort_keys=True) + "\n"
-    return (
-        "# config: "
-        + json.dumps(asdict(config), sort_keys=True)
-        + "\n"
-        + report.to_csv()
-    )
+        return json.dumps({**fields, "config": asdict(config)}, sort_keys=True) + "\n"
+    table = [["parameter", "observed", "log_parameter", "log_observed"]]
+    for x, y in zip(report.parameter_values, report.observed):
+        table.append([x, y, math.log(x), math.log(y)])
+    for name in ("parameter_values", "observed", "details"):
+        del fields[name]
+    return _render(asdict(config), "csv", [], table, fields)
 
 
 def _with_suffix(out: str | None, tag: str) -> str | None:

@@ -86,9 +86,9 @@ class Exponent:
     def __float__(self) -> float:
         return float(self.value)
 
+    # Exponents compare only with exponents: a number equal to one would
+    # need its hash, and 0.5 or "abc" is no exponent at all.
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, float, Fraction, str)):
-            other = Exponent(other)
         if not isinstance(other, Exponent):
             return NotImplemented
         return self._recip == other._recip
@@ -98,7 +98,9 @@ class Exponent:
 
     # Reciprocals reverse the order: larger exponent, smaller reciprocal.
     def __lt__(self, other) -> bool:
-        return self._recip > as_exponent(other)._recip
+        if not isinstance(other, Exponent):
+            return NotImplemented
+        return self._recip > other._recip
 
     def __str__(self) -> str:
         return "inf" if self._recip == 0 else str(self.value)

@@ -129,6 +129,9 @@ class SampledFunction:
     dilation and shear constructors require it for exact re-evaluation.
     A function is immutable: ``values`` is stored read-only, and
     reassigning any field raises ``dataclasses.FrozenInstanceError``.
+    A complex128 array is adopted, not copied: ``values`` is the caller's
+    array, now read-only. Any other dtype is converted into a new array,
+    so the caller's stays writeable.
     Construction starts the empty memo of reductions that ``mixed_norms``
     keeps per function and draws a ``_serial``. Unlike ``id()``, a serial
     is never reused, so a memo entry keyed by another function's serial

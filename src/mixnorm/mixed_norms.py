@@ -160,14 +160,17 @@ def slice_norm(
     """L^a norm on the slice xi'' = 0 of F-hat, or of (F·partner)-hat.
 
     At the centered grid's zero index the slice is exactly the transform
-    of the x''-marginal. F's memo keeps the slice magnitude, keyed by the
-    partner's serial, so each further exponent only reduces it.
+    of the x''-marginal; with no second group (d2 = 0) it is the whole
+    transform. F's memo keeps the slice magnitude, keyed by the partner's
+    serial, so each further exponent only reduces it.
     """
     key = ("slice", None if partner is None else partner._serial)
     magnitude = F._reductions.get(key)
     if magnitude is None:
         product = F if partner is None else F.with_values(F.values * partner.values)
-        magnitude = np.abs(fourier(marginal_second(product)).values)
+        if F.grid.d2 > 0:
+            product = marginal_second(product)
+        magnitude = np.abs(fourier(product).values)
         F._reductions[key] = magnitude
     return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, a)
 

@@ -17,7 +17,6 @@ point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,7 +32,7 @@ from .exponents import (
 )
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
 from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
-from .mixed_norms import MixedNormSpec, mixed_norm, slice_norm
+from .mixed_norms import MixedNormSpec, mixed_norm, slice_norm, spectrum_norm
 from .sampling import TAIL, GenerationError, check_containment, near_delta_family, shear_product
 from .transform import fourier
 
@@ -76,30 +75,6 @@ class SweepReport:
             raise ValueError("parameter values must be strictly monotone")
         if any(v <= 0 for v in self.observed):
             raise ValueError("observed values must be strictly positive")
-
-    def footer(self) -> dict:
-        return {
-            "fitted_slope": self.fitted_slope,
-            "expected_slope": self.expected_slope,
-            "residual": self.residual,
-            "kind": self.kind,
-            "passed": self.passed,
-            "criterion": self.criterion,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["parameter,observed,log_parameter,log_observed"]
-        for x, y in zip(self.parameter_values, self.observed):
-            lines.append(f"{x!r},{y!r},{math.log(x)!r},{math.log(y)!r}")
-        lines.append("# " + json.dumps(self.footer(), sort_keys=True))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = self.footer()
-        payload["parameter_values"] = list(self.parameter_values)
-        payload["observed"] = list(self.observed)
-        payload["details"] = self.details
-        return json.dumps(payload, sort_keys=True)
 
 
 def _fit_loglog(parameters: Sequence[float], observed: Sequence[float]) -> tuple[float, float]:
@@ -293,7 +268,7 @@ def delta_divergence_demo(
     observed = []
     for epsilon in epsilon_values:
         F = near_delta_family(grid, f, epsilon, shear=shear)
-        lhs = mixed_norm(fourier(F), lhs_spec)
+        lhs = spectrum_norm(F, lhs_spec)
         rhs = mixed_norm(F, rhs_spec)
         observed.append(lhs / rhs)
     slope, residual = _fit_loglog(epsilon_values, observed)

@@ -7,6 +7,7 @@ make a failing build green.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from mixnorm.inequalities import (
     check_variant,
     ensemble_trials,
     random_admissible_tuples,
-    reports_to_jsonl,
     run_suite,
 )
 from mixnorm.mixed_norms import minkowski_compare
@@ -288,9 +288,11 @@ def test_criterion_10_necessity_sweep():
 
 def test_criterion_11_determinism(tmp_path, capsys):
     # library level: same seed, same payload bytes
-    first = reports_to_jsonl(run_suite("restriction", ensemble_trials(GRID2, 5, 7), p="4/3"))
-    second = reports_to_jsonl(run_suite("restriction", ensemble_trials(GRID2, 5, 7), p="4/3"))
-    library_ok = first == second
+    def payload():
+        reports = run_suite("restriction", ensemble_trials(GRID2, 5, 7), p="4/3")
+        return "".join(json.dumps(r.json_dict(), sort_keys=True) + "\n" for r in reports)
+
+    library_ok = payload() == payload()
 
     # CLI level: identical RunConfig (including the output path), twice
     out = tmp_path / "suite.jsonl"

@@ -1,21 +1,35 @@
 """Command-line plumbing: exit codes, artifact shapes, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixnorm
 from mixnorm import cli
 from mixnorm.cli import main
-from mixnorm.inequalities import RatioReport
-from mixnorm.sweeps import SweepReport
+from mixnorm.grids import SPACE, GridSpec, SampledFunction
+from mixnorm.inequalities import (
+    RatioReport,
+    check_hausdorff_young,
+    check_restriction,
+    check_variant,
+)
+from mixnorm.sampling import gaussian_product
+from mixnorm.sweeps import SweepReport, blowup_sweep
 
 BECKNER_43 = 0.936687074375248
+
+GRID2 = GridSpec.default()
+GRID1 = GridSpec.default(d2=0)
+GAUSSIAN2 = gaussian_product(GRID2, [1.0, 1.0])
+GAUSSIAN1 = gaussian_product(GRID1, [1.0])
 
 
 def run(capsys, argv):
@@ -158,6 +172,71 @@ class TestVerify:
         assert stdout_text.splitlines()[1:] == on_disk.splitlines()[1:]
 
 
+class TestReportSerialization:
+    """Report rows as ``verify`` writes them, between the echo and the summary."""
+
+    def rows(self, capsys, monkeypatch, reports, *flags):
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: reports)
+        code, out, _ = run(capsys, ["verify", "restriction", "--trials", "1", *flags])
+        assert code == 0
+        return out.splitlines()[1:-1]
+
+    def test_json_lines_round_trip(self, capsys, monkeypatch):
+        reports = [
+            check_restriction(GAUSSIAN2, "4/3"),
+            check_hausdorff_young(GAUSSIAN1, 2),
+        ]
+        lines = self.rows(capsys, monkeypatch, reports)
+        assert len(lines) == 2
+        payload = json.loads(lines[0])
+        assert payload["inequality_id"] == "restriction"
+        assert payload["pass"] is True
+        assert payload["descriptors"]["exponents"] == {"p": "4/3"}
+        assert math.isclose(payload["ratio"], reports[0].ratio)
+
+    def test_csv_shape(self, capsys, monkeypatch):
+        zero = SampledFunction(GRID2, np.zeros(GRID2.shape, complex), (SPACE, SPACE))
+        reports = [check_variant(GAUSSIAN2, "4/3", 2), check_restriction(zero, 2)]
+        rows = self.rows(capsys, monkeypatch, reports, "--format", "csv")
+        assert rows[0] == "inequality_id,exponents,ratio,pass"
+        assert rows[1].startswith("variant,p=4/3 s=2,")
+        assert rows[2] == "restriction,p=2,,False"  # degenerate: empty ratio
+
+
+# Deep in the asymptotic regime the transient (1 + t^2)^{1/8} factor is
+# gone, so even a two-point fit lands within the slope tolerance.
+@pytest.fixture(scope="module")
+def short_blowup():
+    return blowup_sweep(2, "4/3", t_values=(0.25, 0.125))
+
+
+class TestSweepReport:
+    """A sweep report as ``sweep`` writes it."""
+
+    def artifact(self, capsys, monkeypatch, report, *flags):
+        monkeypatch.setattr(cli, "blowup_sweep", lambda p, s: report)
+        code, out, _ = run(capsys, ["sweep", "blowup", *flags])
+        assert code == 0
+        return out
+
+    def test_csv_has_data_rows_and_json_footer(self, capsys, monkeypatch, short_blowup):
+        lines = self.artifact(capsys, monkeypatch, short_blowup).splitlines()[1:]
+        assert lines[0] == "parameter,observed,log_parameter,log_observed"
+        assert len(lines) == 4  # header + 2 points + footer
+        footer = json.loads(lines[-1].removeprefix("# "))
+        assert footer["kind"] == "blowup"
+        assert footer["passed"] is True
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.25
+        assert float(first[2]) == pytest.approx(math.log(0.25))
+
+    def test_json_payload_is_complete(self, capsys, monkeypatch, short_blowup):
+        payload = json.loads(self.artifact(capsys, monkeypatch, short_blowup, "--format", "json"))
+        for key in ("parameter_values", "observed", "fitted_slope", "details", "criterion"):
+            assert key in payload
+        assert payload["details"]["p"] == "2"
+
+
 class TestSweep:
     def test_blowup_csv_artifact(self, capsys):
         code, out, _ = run(capsys, ["sweep", "blowup"])
@@ -228,6 +307,21 @@ class TestSweep:
         monkeypatch.setattr(cli, "blowup_sweep", lambda p, s: failed)
         code, _, _ = run(capsys, ["sweep", "blowup"])
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "restriction", "--s", "abc"], "Invalid literal for Fraction: 'abc'"),
+        (["verify", "hausdorff-young", "--r", "0.5"], "exponent must be >= 1, got 1/2"),
+        (["sweep", "delta", "--q", ""], "Invalid literal for Fraction: ''"),
+    ],
+)
+def test_malformed_exponent_exits_2_where_unread(capsys, argv, message):
+    code, out, err = run(capsys, [*argv, "--trials", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestDeterminism:

@@ -59,6 +59,18 @@ class TestExponent:
         assert Exponent(2) <= Exponent(2)
         assert not Exponent(2) < Exponent(2)
 
+    def test_compares_only_with_exponents(self):
+        """Equal exponents hash alike; anything else is unequal and unordered."""
+        assert not Exponent(2) == 0.5
+        assert Exponent(2) != "abc"
+        assert Exponent(2) != 2
+        assert len({Exponent(2), Exponent("2")}) == 1
+        assert len({2, Exponent(2)}) == 2
+        with pytest.raises(TypeError):
+            Exponent(2) < 3
+        with pytest.raises(TypeError):
+            Exponent(2) >= "1"
+
     @given(rationals)
     def test_conjugate_is_an_involution(self, value):
         e = Exponent(value)

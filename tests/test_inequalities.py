@@ -1,8 +1,6 @@
-"""Ratio harnesses: Gaussian equality cases, random suites, report plumbing."""
+"""Ratio harnesses: Gaussian equality cases, random suites, report verdicts."""
 
 import itertools
-import json
-import math
 
 import numpy as np
 import pytest
@@ -18,8 +16,6 @@ from mixnorm.inequalities import (
     check_variant,
     ensemble_trials,
     random_admissible_tuples,
-    reports_to_csv,
-    reports_to_jsonl,
     run_suite,
 )
 from mixnorm.mixed_norms import MixedNormSpec, mixed_norm
@@ -209,28 +205,7 @@ class TestTupleGenerator:
         assert random_admissible_tuples(10, seed=1) != random_admissible_tuples(10, seed=2)
 
 
-class TestReportSerialization:
-    def test_json_lines_round_trip(self):
-        reports = [
-            check_restriction(GAUSSIAN2, "4/3"),
-            check_hausdorff_young(GAUSSIAN1, 2),
-        ]
-        lines = reports_to_jsonl(reports).splitlines()
-        assert len(lines) == 2
-        payload = json.loads(lines[0])
-        assert payload["inequality_id"] == "restriction"
-        assert payload["pass"] is True
-        assert payload["descriptors"]["exponents"] == {"p": "4/3"}
-        assert math.isclose(payload["ratio"], reports[0].ratio)
-
-    def test_csv_shape(self):
-        zero = SampledFunction(GRID2, np.zeros(GRID2.shape, complex), (SPACE, SPACE))
-        reports = [check_variant(GAUSSIAN2, "4/3", 2), check_restriction(zero, 2)]
-        rows = reports_to_csv(reports).splitlines()
-        assert rows[0] == "inequality_id,exponents,ratio,pass"
-        assert rows[1].startswith("variant,p=4/3 s=2,")
-        assert rows[2] == "restriction,p=2,,False"  # degenerate: empty ratio
-
+class TestIdentifiers:
     def test_identifier_tuple_is_frozen(self):
         assert INEQUALITY_IDS == (
             "restriction",

@@ -95,6 +95,27 @@ def test_only_mixed_norms_touches_the_memo():
             assert not names & {"_reductions", "_serial"}, path.name
 
 
+def imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return names
+
+
+def test_only_cli_writes_artifact_text():
+    """``cli`` lays out every artifact; ``grids`` keeps ``json`` for the
+    sidecar that ``SampledFunction.save`` writes."""
+    for path in SOURCES:
+        imported = imported_modules(path)
+        if path.name != "cli.py":
+            assert not imported & {"csv", "io"}, path.name
+        if path.name not in ("cli.py", "grids.py"):
+            assert "json" not in imported, path.name
+
+
 def test_no_module_imports_a_private_name_from_a_sibling():
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
