@@ -41,7 +41,7 @@ from .grids import GridSpec
 from .inequalities import (
     INEQUALITY_IDS,
     RatioReport,
-    ensemble_trials,
+    ensemble_stream,
     random_admissible_tuples,
     run_suite,
 )
@@ -244,7 +244,7 @@ def _collect_verify_reports(config: RunConfig) -> list[RatioReport]:
             tuples = [exps]
         else:
             tuples = random_admissible_tuples(10, config.seed)
-    functions = ensemble_trials(grid, config.trials, config.seed)
+    functions = ensemble_stream(grid, config.trials, config.seed)
     return run_suite(inequality, functions, exponents.get("p"), exponents.get("s"), tuples)
 
 

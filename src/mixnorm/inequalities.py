@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "check_hausdorff_young",
     "random_admissible_tuples",
     "ensemble_trials",
+    "ensemble_stream",
     "run_suite",
 ]
 
@@ -146,7 +147,7 @@ def check_bilinear(
         "bilinear",
         lhs,
         bound,
-        {k: str(v) for k, v in exponents.as_dict().items()},
+        exponents.as_dict(),
         {"F": descriptor_dict(F), "G": descriptor_dict(G)},
     )
 
@@ -223,43 +224,78 @@ def random_admissible_tuples(count: int, seed: int) -> list[ExponentTuple]:
     return tuples
 
 
+def ensemble_stream(grid: GridSpec, count: int, seed: int) -> Iterator[SampledFunction]:
+    """The seeded six-term random-ensemble trials, sampled one at a time.
+
+    Trial ``index`` draws from seed ``seed + index``, so a stream and its
+    list hold the same functions; a count below 1 yields nothing.
+    """
+    for index in range(count):
+        yield random_ensemble(grid, 6, seed + index)
+
+
 def ensemble_trials(grid: GridSpec, count: int, seed: int) -> list[SampledFunction]:
     """Deterministic list of six-term random-ensemble trial functions."""
-    return [random_ensemble(grid, 6, seed + index) for index in range(count)]
+    return list(ensemble_stream(grid, count, seed))
 
 
 def run_suite(
     inequality_id: str,
-    functions: Sequence[SampledFunction],
+    functions: Iterable[SampledFunction],
     p: ExponentLike | None = None,
     s: ExponentLike | None = None,
     exponent_tuples: Sequence[ExponentTuple] | None = None,
 ) -> list[RatioReport]:
     """Evaluate one inequality on every supplied function.
 
+    ``functions`` is iterated once, and each function is checked as it
+    arrives and released before the next is drawn, so a generator keeps
+    the suite's arrays to one trial (three for bilinear).
+
     For the bilinear check each function is paired with its successor
-    (cyclically) and evaluated under every tuple in ``exponent_tuples``.
+    (cyclically; a lone function pairs with itself) and evaluated under
+    every tuple in ``exponent_tuples``. Reports come back tuple-major:
+    every pair under the first tuple, then every pair under the next.
     """
     if inequality_id not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality {inequality_id!r}; pick from {INEQUALITY_IDS}")
-    if not functions:
-        raise ValueError("a suite needs at least one trial function")
-    reports: list[RatioReport] = []
     if inequality_id == "bilinear":
-        if not exponent_tuples:
-            raise ValueError("the bilinear suite needs exponent tuples")
-        for exps in exponent_tuples:
-            for index, F in enumerate(functions):
-                G = functions[(index + 1) % len(functions)]
-                reports.append(check_bilinear(F, G, exps))
-        return reports
-    for F in functions:
-        if inequality_id == "restriction":
-            reports.append(check_restriction(F, p))
-        elif inequality_id == "variant":
-            reports.append(check_variant(F, p, s))
-        elif inequality_id == "same_order":
-            reports.append(check_same_order(F, p, s))
-        else:
-            reports.append(check_hausdorff_young(F, p))
+        reports = _bilinear_suite(iter(functions), exponent_tuples)
+    else:
+        reports = []
+        for F in functions:
+            if inequality_id == "restriction":
+                reports.append(check_restriction(F, p))
+            elif inequality_id == "variant":
+                reports.append(check_variant(F, p, s))
+            elif inequality_id == "same_order":
+                reports.append(check_same_order(F, p, s))
+            else:
+                reports.append(check_hausdorff_young(F, p))
+            del F  # else F stays alive while the next function is sampled
+    if not reports:
+        raise ValueError("a suite needs at least one trial function")
     return reports
+
+
+def _bilinear_suite(
+    functions: Iterator[SampledFunction], exponent_tuples: Sequence[ExponentTuple] | None
+) -> list[RatioReport]:
+    """Pair-major evaluation of the cyclic pairs, reordered tuple-major.
+
+    Only the first function (for the closing pair) and the current pair
+    stay alive; each pair runs under every tuple before the next is drawn.
+    """
+    first = F = next(functions, None)
+    if first is None:
+        return []
+    if not exponent_tuples:
+        raise ValueError("the bilinear suite needs exponent tuples")
+    by_tuple: list[list[RatioReport]] = [[] for _ in exponent_tuples]
+    for G in functions:
+        for reports, exps in zip(by_tuple, exponent_tuples):
+            reports.append(check_bilinear(F, G, exps))
+        F = G
+    for reports, exps in zip(by_tuple, exponent_tuples):
+        reports.append(check_bilinear(F, first, exps))
+    return [report for reports in by_tuple for report in reports]

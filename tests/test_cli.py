@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mixnorm
-from mixnorm import cli
+from mixnorm import cli, inequalities
 from mixnorm.cli import main
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.inequalities import (
@@ -21,7 +22,7 @@ from mixnorm.inequalities import (
     check_restriction,
     check_variant,
 )
-from mixnorm.sampling import gaussian_product
+from mixnorm.sampling import gaussian_product, random_ensemble
 from mixnorm.sweeps import SweepReport, blowup_sweep
 
 BECKNER_43 = 0.936687074375248
@@ -123,6 +124,46 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("inequality", ["restriction", "bilinear"])
+    def test_memory_does_not_grow_with_the_trial_count(self, tmp_path, inequality):
+        """Trials are sampled as the suite reaches them and freed after, so
+        eight trials peak within one trial array of three. (Bilinear keeps
+        the first trial for the closing pair; from three trials on that is
+        a third array, at two it is the partner itself.)"""
+
+        def peak(trials):
+            argv = ["verify", inequality, "--trials", str(trials), "--out", str(tmp_path / "a")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-call allocations are not the suite's
+        trial_array = 16 * GRID2.n**2
+        assert peak(8) - peak(3) < trial_array
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["restriction", "--p", "3"], "p must lie in [1, 2], got 3"),
+            (["same-order", "--p", "3/2", "--s", "4/3"], "p = 3/2 exceeds s = 4/3"),
+        ],
+    )
+    def test_exponent_error_stops_at_the_first_trial(self, capsys, monkeypatch, argv, message):
+        sampled = []
+
+        def counting(*args):
+            sampled.append(args)
+            return random_ensemble(*args)
+
+        monkeypatch.setattr(inequalities, "random_ensemble", counting)
+        code, out, err = run(capsys, ["verify", *argv, "--trials", "50"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert len(sampled) == 1
 
     def test_inadmissible_tuple_exits_2(self, capsys):
         code, _, err = run(

@@ -14,6 +14,7 @@ from mixnorm.inequalities import (
     check_restriction,
     check_same_order,
     check_variant,
+    ensemble_stream,
     ensemble_trials,
     random_admissible_tuples,
     run_suite,
@@ -109,6 +110,72 @@ class TestRandomSuites:
             run_suite("sharp", [GAUSSIAN2], p=2)
         with pytest.raises(ValueError):
             run_suite("bilinear", [GAUSSIAN2])
+
+
+class TestStreamingSuite:
+    """``run_suite`` consumes any iterable once, checking each function as it arrives."""
+
+    SELECTIONS = [
+        ("restriction", GRID2, {"p": "4/3"}),
+        ("variant", GRID2, {"p": "4/3", "s": "3/2"}),
+        ("same_order", GRID2, {"p": "4/3", "s": "3/2"}),
+        ("hausdorff_young", GRID1, {"p": "3/2"}),
+        ("bilinear", GRID2, {"exponent_tuples": random_admissible_tuples(3, seed=91)}),
+    ]
+
+    @pytest.mark.parametrize("inequality_id, grid, kwargs", SELECTIONS)
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_generator_gives_the_list_reports(self, inequality_id, grid, kwargs, count):
+        listed = run_suite(inequality_id, ensemble_trials(grid, count, 90), **kwargs)
+        streamed = run_suite(inequality_id, ensemble_stream(grid, count, 90), **kwargs)
+        assert streamed == listed
+        assert len(listed) == count * len(kwargs.get("exponent_tuples", [None]))
+
+    @pytest.mark.parametrize("count", [1, 3, 4])
+    def test_bilinear_reports_are_tuple_major_over_cyclic_pairs(self, count):
+        tuples = random_admissible_tuples(3, seed=92)
+        trials = ensemble_trials(GRID2, count, 93)
+        expected = [
+            check_bilinear(F, trials[(index + 1) % count], exps)
+            for exps in tuples
+            for index, F in enumerate(trials)
+        ]
+        reports = run_suite("bilinear", iter(trials), exponent_tuples=tuples)
+        assert reports == expected
+        seeds = [
+            (r.descriptors["functions"]["F"]["seed"], r.descriptors["functions"]["G"]["seed"])
+            for r in reports
+        ]
+        pairs = [(93 + i, 93 + (i + 1) % count) for i in range(count)]
+        assert seeds == pairs * len(tuples)
+        assert [r.descriptors["exponents"] for r in reports[::count]] == [
+            exps.as_dict() for exps in tuples
+        ]
+
+    ONE_OF_EACH = [
+        ("restriction", {"p": 2}),
+        ("bilinear", {"exponent_tuples": random_admissible_tuples(2, seed=94)}),
+    ]
+
+    @pytest.mark.parametrize("inequality_id, kwargs", ONE_OF_EACH)
+    def test_empty_generator_rejected(self, inequality_id, kwargs):
+        with pytest.raises(ValueError, match="at least one"):
+            run_suite(inequality_id, ensemble_stream(GRID2, 0, 1), **kwargs)
+
+    @pytest.mark.parametrize("inequality_id, kwargs", ONE_OF_EACH)
+    def test_input_is_iterated_once(self, inequality_id, kwargs):
+        trials = ensemble_trials(GRID2, 3, 95)
+
+        class OneShot:
+            iterations = 0
+
+            def __iter__(self):
+                OneShot.iterations += 1
+                return iter(trials)
+
+        reports = run_suite(inequality_id, OneShot(), **kwargs)
+        assert OneShot.iterations == 1
+        assert reports == run_suite(inequality_id, trials, **kwargs)
 
 
 class TestValidation:
