@@ -36,7 +36,7 @@ families = {
 for name, F in families.items():
     peak = float(np.max(np.abs(F.values)))
     print(f"{name:>18}: shape {F.values.shape}, peak |F| = {peak:.4f}, "
-          f"family tag '{F.descriptor.family}'")
+          f"family tag '{F.descriptor['family']}'")
 
 # ----------------------------------------------------------------------
 # Containment: a dilation that would overflow the grid is refused, and

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-__all__ = ["GridSpec", "SampledFunction", "FunctionDescriptor", "SPACE", "FREQUENCY"]
+__all__ = ["GridSpec", "SampledFunction", "SPACE", "FREQUENCY"]
 
 SPACE = "space"
 FREQUENCY = "frequency"
@@ -90,43 +90,16 @@ class GridSpec:
         return GridSpec(self.d1, 0, self.n, self.extent)
 
 
-@dataclass
-class FunctionDescriptor:
-    """Reproducible recipe for a generated function.
-
-    The family name, parameter map, and seed fully determine the sampled
-    values on a given grid.
-    """
-
-    family: str
-    parameters: dict[str, Any] = field(default_factory=dict)
-    seed: int | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"family": self.family, "parameters": self.parameters, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any] | None) -> "FunctionDescriptor":
-        if data is None:
-            raise ValueError("the input had no descriptor, so it cannot be rebuilt")
-        return cls(family=data["family"], parameters=dict(data.get("parameters", {})),
-                   seed=data.get("seed"))
-
-
-def descriptor_dict(f: Any) -> dict[str, Any] | None:
-    """The descriptor of ``f`` as a dict, or None when it has none."""
-    descriptor = getattr(f, "descriptor", None)
-    return descriptor.to_dict() if descriptor is not None else None
-
-
 @dataclass(frozen=True)
 class SampledFunction:
     """Complex samples on a product grid, tagged per axis group.
 
     ``side`` holds one entry per axis group ("space" or "frequency"), so
-    partially transformed functions are representable. ``analytic``
-    optionally carries the closed-form object behind the samples; the
-    dilation and shear constructors require it for exact re-evaluation.
+    partially transformed functions are representable. ``descriptor`` is
+    the recipe dict that ``sampling`` builds and rebuilds the function
+    from, or None. ``analytic`` optionally carries the closed-form object
+    behind the samples; the dilation and shear constructors require it
+    for exact re-evaluation.
     A function is immutable: ``values`` is stored read-only, and
     reassigning any field raises ``dataclasses.FrozenInstanceError``.
     A complex128 array is adopted, not copied: ``values`` is the caller's
@@ -141,7 +114,7 @@ class SampledFunction:
     grid: GridSpec
     values: np.ndarray
     side: tuple[str, ...]
-    descriptor: FunctionDescriptor | None = None
+    descriptor: dict[str, Any] | None = None
     analytic: Any = None
 
     def __post_init__(self):
@@ -192,7 +165,7 @@ class SampledFunction:
             "n": self.grid.n,
             "extent": self.grid.extent,
             "side": list(self.side),
-            "descriptor": descriptor_dict(self),
+            "descriptor": self.descriptor,
         }
         path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
 
@@ -202,10 +175,4 @@ class SampledFunction:
         sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         grid = GridSpec(sidecar["d1"], sidecar["d2"], sidecar["n"], sidecar["extent"])
         values = np.frombuffer(path.read_bytes(), dtype=np.complex128).reshape(grid.shape)
-        descriptor = sidecar.get("descriptor")
-        return cls(
-            grid,
-            values.copy(),
-            tuple(sidecar["side"]),
-            FunctionDescriptor.from_dict(descriptor) if descriptor else None,
-        )
+        return cls(grid, values.copy(), tuple(sidecar["side"]), sidecar.get("descriptor"))

@@ -25,7 +25,7 @@ from .exponents import (
     as_exponent,
     beckner_power,
 )
-from .grids import GridSpec, SampledFunction, descriptor_dict
+from .grids import GridSpec, SampledFunction
 from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm, slice_norm, spectrum_norm
 from .sampling import random_ensemble
 
@@ -123,9 +123,7 @@ def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     _require_range(p, "p")
     lhs = slice_norm(F, p.conjugate())
     bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
-    return _build_report(
-        "restriction", lhs, bound, {"p": str(p)}, {"F": descriptor_dict(F)}
-    )
+    return _build_report("restriction", lhs, bound, {"p": str(p)}, {"F": F.descriptor})
 
 
 def check_bilinear(
@@ -148,7 +146,7 @@ def check_bilinear(
         lhs,
         bound,
         exponents.as_dict(),
-        {"F": descriptor_dict(F), "G": descriptor_dict(G)},
+        {"F": F.descriptor, "G": G.descriptor},
     )
 
 
@@ -159,9 +157,7 @@ def check_variant(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ratio
     _require_range(s, "s")
     lhs = spectrum_norm(F, MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
     bound = _transform_bound(F, p, s)
-    return _build_report(
-        "variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}
-    )
+    return _build_report("variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": F.descriptor})
 
 
 def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> RatioReport:
@@ -180,9 +176,7 @@ def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ra
         )
     lhs = spectrum_norm(F, MixedNormSpec.standard(p.conjugate(), s.conjugate()))
     bound = _transform_bound(F, p, s)
-    return _build_report(
-        "same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": descriptor_dict(F)}
-    )
+    return _build_report("same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": F.descriptor})
 
 
 def check_hausdorff_young(f: SampledFunction, p: ExponentLike) -> RatioReport:
@@ -193,9 +187,7 @@ def check_hausdorff_young(f: SampledFunction, p: ExponentLike) -> RatioReport:
         raise ValueError("hausdorff_young applies to one-group functions")
     lhs = slice_norm(f, p.conjugate())
     bound = beckner_power(p, f.grid.d1) * plain_norm(f, p)
-    return _build_report(
-        "hausdorff_young", lhs, bound, {"p": str(p)}, {"f": descriptor_dict(f)}
-    )
+    return _build_report("hausdorff_young", lhs, bound, {"p": str(p)}, {"f": f.descriptor})
 
 
 def random_admissible_tuples(count: int, seed: int) -> list[ExponentTuple]:

@@ -6,6 +6,11 @@ of interpolating arrays. Every generator enforces that the essential
 mass of the function, on both the space and the frequency side, stays
 inside the grid; a family that does not fit raises ``GenerationError``
 naming the space or frequency extent that would be needed.
+
+Each generator tags its function with a descriptor, the plain dict
+``{"family", "parameters", "seed"}`` that ``sample_descriptor`` rebuilds
+the function from; a family built on other functions nests their
+descriptors in its parameters.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import ExponentLike, as_exponent
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum
-from .grids import FREQUENCY, SPACE, FunctionDescriptor, GridSpec, SampledFunction, descriptor_dict
+from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 
 __all__ = [
     "GenerationError",
@@ -116,7 +121,7 @@ def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction
     check_containment(separable, grid)
     coords = [grid.space_coords()] * grid.ndim
     values = separable.evaluate_grid(coords)
-    descriptor = FunctionDescriptor("gaussian_product", {"scales": scales})
+    descriptor = {"family": "gaussian_product", "parameters": {"scales": scales}, "seed": None}
     return SampledFunction(grid, values, _one_factor_sides(grid), descriptor, separable)
 
 
@@ -167,7 +172,8 @@ def random_ensemble(grid: GridSpec, complexity: int, seed: int) -> SampledFuncti
     separable = SeparableSum(tuple(terms))
     check_containment(separable, grid)
     values = separable.evaluate_grid([grid.space_coords()] * d)
-    descriptor = FunctionDescriptor("random_ensemble", {"complexity": complexity}, seed=seed)
+    parameters = {"complexity": complexity}
+    descriptor = {"family": "random_ensemble", "parameters": parameters, "seed": seed}
     return SampledFunction(grid, values, _one_factor_sides(grid), descriptor, separable)
 
 
@@ -189,10 +195,9 @@ def dilate_first_axis(f: SampledFunction, t: float, p: ExponentLike) -> SampledF
     _check_terms(dilated.terms, grid, SPACE, "dilated")
     _check_terms(dilated.fourier().terms, grid, FREQUENCY, "dilated")
     values = dilated.evaluate(grid.space_coords())
-    descriptor = FunctionDescriptor(
-        "dilation_shear",
-        {"kind": "dilate", "t": float(t), "p": str(exponent), "base": descriptor_dict(f)},
-    )
+    base = getattr(f, "descriptor", None)
+    parameters = {"kind": "dilate", "t": float(t), "p": str(exponent), "base": base}
+    descriptor = {"family": "dilation_shear", "parameters": parameters, "seed": None}
     return SampledFunction(grid, values, (SPACE,), descriptor, dilated)
 
 
@@ -229,10 +234,9 @@ def shear_product(
     lags = gm.evaluate(grid.spacing * np.arange(1 - grid.n, grid.n))
     toeplitz = sliding_window_view(lags, grid.n)[::-1]
     values = fm.evaluate(grid.space_coords())[:, None] * toeplitz
-    descriptor = FunctionDescriptor(
-        "dilation_shear",
-        {"kind": "shear", "f": descriptor_dict(f_first), "g": descriptor_dict(g_second)},
-    )
+    f_base, g_base = getattr(f_first, "descriptor", None), getattr(g_second, "descriptor", None)
+    parameters = {"kind": "shear", "f": f_base, "g": g_base}
+    descriptor = {"family": "dilation_shear", "parameters": parameters, "seed": None}
     return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
 
 
@@ -286,34 +290,35 @@ def near_delta_family(
         row = _periodized_bump(x, float(epsilon), grid.extent)
         bump = np.broadcast_to(row, (grid.n, grid.n))
     values = fm.evaluate(x)[:, None] * bump
-    descriptor = FunctionDescriptor(
-        "near_delta", {"epsilon": float(epsilon), "shear": bool(shear), "f": descriptor_dict(f)}
-    )
+    base = getattr(f, "descriptor", None)
+    parameters = {"epsilon": float(epsilon), "shear": bool(shear), "f": base}
+    descriptor = {"family": "near_delta", "parameters": parameters, "seed": None}
     return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
 
 
-def sample_descriptor(descriptor: FunctionDescriptor, grid: GridSpec) -> SampledFunction:
-    """Rebuild a sampled function from its descriptor on the given grid."""
-    family = descriptor.family
-    params = descriptor.parameters
+def sample_descriptor(descriptor: dict | None, grid: GridSpec) -> SampledFunction:
+    """Rebuild a sampled function from its descriptor dict on the given grid."""
+    if descriptor is None:
+        raise ValueError("the input had no descriptor, so it cannot be rebuilt")
+    family = descriptor["family"]
+    params = descriptor.get("parameters", {})
     if family == "gaussian_product":
         return gaussian_product(grid, params["scales"])
     if family == "random_ensemble":
-        if descriptor.seed is None:
+        if descriptor.get("seed") is None:
             raise ValueError("a random ensemble descriptor needs a seed")
-        return random_ensemble(grid, params["complexity"], descriptor.seed)
+        return random_ensemble(grid, params["complexity"], descriptor["seed"])
     if family == "near_delta":
-        base = FunctionDescriptor.from_dict(params["f"])
-        f = sample_descriptor(base, grid.first_factor())
+        f = sample_descriptor(params["f"], grid.first_factor())
         return near_delta_family(grid, f, params["epsilon"], shear=params.get("shear", True))
     if family == "dilation_shear":
         kind = params.get("kind")
         if kind == "dilate":
-            base = sample_descriptor(FunctionDescriptor.from_dict(params["base"]), grid)
+            base = sample_descriptor(params["base"], grid)
             return dilate_first_axis(base, params["t"], params["p"])
         if kind == "shear":
-            f = sample_descriptor(FunctionDescriptor.from_dict(params["f"]), grid.first_factor())
-            g = sample_descriptor(FunctionDescriptor.from_dict(params["g"]), grid.first_factor())
+            f = sample_descriptor(params["f"], grid.first_factor())
+            g = sample_descriptor(params["g"], grid.first_factor())
             return shear_product(f, g, grid)
         raise ValueError(f"unknown dilation_shear kind {kind!r}")
     raise ValueError(f"family {family!r} cannot be reconstructed from a descriptor")

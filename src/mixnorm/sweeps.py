@@ -341,6 +341,8 @@ def necessity_sweep(
     lambda_values = (
         tuple(lambda_values) if lambda_values is not None else default_lambda_values()
     )
+    if not all(lam > 0 for lam in lambda_values):
+        raise ValueError(f"dilation scales must be positive, got {lambda_values}")
     axis_index = 0 if axis == "first" else 1
     constant = beckner_power(exponents.r.conjugate(), grid.d1)
     x = grid.space_coords()
@@ -352,7 +354,7 @@ def necessity_sweep(
         separable = _dilated_product(lam, axis_index)
         check_containment(separable, grid)
         values = separable.evaluate_grid([x, x])
-        F = SampledFunction(grid, values, (SPACE, SPACE), analytic=separable)
+        F = SampledFunction(grid, values, (SPACE, SPACE))
         lhs = slice_norm(F, exponents.r, F)
         bound = constant * mixed_norm(F, f_spec) * mixed_norm(F, g_spec)
         observed.append(lhs / bound)

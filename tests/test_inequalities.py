@@ -252,6 +252,14 @@ class TestStructure:
         assert report.lhs <= middle * (1.0 + 1e-2)
         assert middle <= report.bound * (1.0 + 1e-10)
 
+    def test_reports_hold_their_functions_descriptors(self):
+        F = random_ensemble(GRID2, 6, seed=96)
+        G = random_ensemble(GRID2, 6, seed=97)
+        assert check_restriction(F, "4/3").descriptors["functions"]["F"] is F.descriptor
+        bilinear = check_bilinear(F, G, random_admissible_tuples(1, seed=98)[0])
+        functions = bilinear.descriptors["functions"]
+        assert functions["F"] is F.descriptor and functions["G"] is G.descriptor
+
     def test_zero_function_is_degenerate(self):
         zero = SampledFunction(GRID2, np.zeros(GRID2.shape, complex), (SPACE, SPACE))
         report = check_restriction(zero, "4/3")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mixnorm.gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
-from mixnorm.grids import SPACE, FunctionDescriptor, GridSpec, SampledFunction
+from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
     _periodized_bump,
@@ -67,8 +67,8 @@ class TestGaussianProduct:
 
     def test_descriptor_attached(self):
         F = gaussian_product(GRID2, [1.0, 2.0])
-        assert F.descriptor.family == "gaussian_product"
-        assert F.descriptor.parameters["scales"] == [1.0, 2.0]
+        assert F.descriptor["family"] == "gaussian_product"
+        assert F.descriptor["parameters"]["scales"] == [1.0, 2.0]
 
 
 class TestRandomEnsemble:
@@ -319,7 +319,7 @@ class TestDescriptors:
         np.testing.assert_array_equal(loaded.values, F.values)
         assert loaded.grid == F.grid
         assert loaded.side == F.side
-        assert loaded.descriptor.to_dict() == F.descriptor.to_dict()
+        assert loaded.descriptor == F.descriptor
 
     def test_sample_descriptor_rebuilds_identical_values(self):
         for build in (
@@ -339,7 +339,7 @@ class TestDescriptors:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            sample_descriptor(FunctionDescriptor("mystery", {}), GRID2)
+            sample_descriptor({"family": "mystery", "parameters": {}, "seed": None}, GRID2)
 
     @pytest.mark.parametrize(
         "build",
@@ -355,7 +355,11 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="no descriptor"):
             sample_descriptor(F.descriptor, GRID2)
 
+    def test_a_missing_descriptor_cannot_be_rebuilt(self):
+        with pytest.raises(ValueError, match="no descriptor"):
+            sample_descriptor(None, GRID2)
+
     def test_ensemble_descriptor_requires_seed(self):
-        desc = FunctionDescriptor("random_ensemble", {"complexity": 2}, seed=None)
+        desc = {"family": "random_ensemble", "parameters": {"complexity": 2}, "seed": None}
         with pytest.raises(ValueError):
             sample_descriptor(desc, GRID2)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mixnorm import sweeps
 from mixnorm.exponents import ExponentTuple
 from mixnorm.gaussians import GaussianMix, GaussianTerm, unit_gaussian
 from mixnorm.grids import GridSpec
@@ -219,6 +220,14 @@ class TestNecessitySweep:
             necessity_sweep(ExponentTuple(8, 2, 8, 2, "4/3"))
         with pytest.raises(ValueError):
             necessity_sweep(self.ADMISSIBLE, axis="third")
+
+    def test_non_positive_scales_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweeps, "check_containment", lambda *args: calls.append(args))
+        for scales in ((-2.0, -1.0, -0.5), (0.0, 1.0), (1.0, 2.0, -1.0)):
+            with pytest.raises(ValueError, match="dilation scales must be positive"):
+                necessity_sweep(self.ADMISSIBLE, lambda_values=scales)
+        assert calls == []
 
     def test_runaway_dilation_is_caught(self):
         with pytest.raises(GenerationError):
