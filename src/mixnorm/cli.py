@@ -8,11 +8,15 @@ Three subcommands:
 * ``sweep`` runs one scaling-law sweep and emits its CSV with a JSON
   footer (or a single JSON document).
 
-An artifact echoes the configuration its run resolves, defaults filled
-in. This module alone lays artifacts out: the echo, one line per row,
-then an optional footer, except for a sweep's single JSON document and
-the plain ``constants`` table. Nothing in an artifact depends on the
-clock, so identical configurations produce byte-identical files.
+Each ``verify`` inequality and ``sweep`` kind is a target with its own
+parser, built from ``_TARGETS``: it accepts only the flags its run reads,
+spelled in full, and any other flag is a usage error. An artifact echoes
+every parsed value, defaults filled in, so it states the configuration
+its run used. This module alone lays artifacts out: the echo, one line
+per row, then an optional footer, except for a sweep's single JSON
+document and the plain ``constants`` table. Nothing in an artifact
+depends on the clock, so identical configurations produce byte-identical
+files.
 
 Exit codes: 0 all checks pass, 1 an inequality or slope check failed,
 2 usage or exponent-gate error.
@@ -26,8 +30,9 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 from .exponents import (
     ExponentTuple,
@@ -38,56 +43,71 @@ from .exponents import (
     beckner_power,
 )
 from .grids import GridSpec
-from .inequalities import (
-    INEQUALITY_IDS,
-    RatioReport,
-    ensemble_stream,
-    random_admissible_tuples,
-    run_suite,
-)
+from .inequalities import ensemble_stream, random_admissible_tuples, run_suite
 from .sampling import GenerationError
 from .sweeps import SweepReport, blowup_sweep, delta_divergence_demo, necessity_sweep
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 100
 DEFAULT_N = 256
 DEFAULT_EXTENT = 16.0
 
-#: Command-line spelling (dashes) of each inequality id (underscores).
-_VERIFY_NAMES = {name.replace("_", "-"): name for name in INEQUALITY_IDS}
+#: The argparse settings of each non-exponent flag; ``dest`` is its echo key.
+_FLAGS = {
+    "d1": dict(type=int, default=1, help="first-group dimension"),
+    "d2": dict(type=int, default=1, help="second-group dimension"),
+    "grid-n": dict(dest="n", type=int, default=DEFAULT_N, help="points per axis"),
+    "grid-l": dict(
+        dest="extent", type=float, default=DEFAULT_EXTENT, help="domain extent per axis"
+    ),
+    "trials": dict(type=int, default=DEFAULT_TRIALS),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A run's settings as its artifact echoes them, resolved from the flags."""
+class _Target(NamedTuple):
+    """What one ``verify`` inequality or ``sweep`` kind reads: its exponent
+    flags with their defaults, its other flags besides ``--format`` and
+    ``--out``, and values it fixes without a flag."""
 
-    command: str
-    target: str
-    n: int = DEFAULT_N
-    extent: float = DEFAULT_EXTENT
-    d1: int = 1
-    d2: int = 1
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
-    exponents: dict = field(default_factory=dict)
-    format: str = "json"
-    out: str | None = None
+    exponents: dict
+    flags: tuple = ()
+    fixed: dict = {}
 
-    def grid(self) -> GridSpec:
-        return GridSpec(self.d1, self.d2, self.n, self.extent)
+
+_SUITE = ("d1", "d2", "grid-n", "grid-l", "trials", "seed")
+_ALL_TWO = dict.fromkeys("psqtr", "2")
+
+#: Every target by subcommand. Hausdorff-Young checks functions of one
+#: coordinate group, so its grid has d2 = 0.
+_TARGETS = {
+    "verify": {
+        "restriction": _Target({"p": "2"}, _SUITE),
+        "hausdorff-young": _Target({"p": "2"}, ("d1", *_SUITE[2:]), {"d2": 0}),
+        "variant": _Target({"p": "2", "s": "2"}, _SUITE),
+        "same-order": _Target({"p": "2", "s": "2"}, _SUITE),
+        "bilinear": _Target(_ALL_TWO, _SUITE),
+    },
+    "sweep": {
+        "blowup": _Target({"p": "2", "s": "4/3"}),
+        "delta": _Target({"p": "2"}, ("grid-n", "grid-l")),
+        "necessity": _Target(_ALL_TWO, ("grid-n", "grid-l")),
+    },
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixnorm",
         description="Numerical checks for mixed-norm Fourier inequalities.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     constants = sub.add_parser(
-        "constants", help="print sharp Hausdorff-Young constants C_r"
+        "constants", help="print sharp Hausdorff-Young constants C_r", allow_abbrev=False
     )
     constants.add_argument("--r", nargs="+", required=True, help="exponents in [1, 2]")
     constants.add_argument(
@@ -96,36 +116,42 @@ def _build_parser() -> argparse.ArgumentParser:
     constants.add_argument("--format", choices=["json", "csv"], default=None)
     constants.add_argument("--out", default=None, help="output path (default stdout)")
 
-    verify = sub.add_parser("verify", help="run a seeded suite for one inequality")
-    verify.add_argument("inequality", choices=sorted(_VERIFY_NAMES))
-    _add_exponent_flags(verify)
-    _add_run_flags(verify)
-
-    sweep = sub.add_parser("sweep", help="run a scaling-law sweep")
-    sweep.add_argument("kind", choices=["blowup", "delta", "necessity"])
-    _add_exponent_flags(sweep)
-    _add_run_flags(sweep)
+    for command, help, default_format in (
+        ("verify", "run a seeded suite for one inequality", "json"),
+        ("sweep", "run a scaling-law sweep", "csv"),
+    ):
+        command_parser = sub.add_parser(command, help=help, allow_abbrev=False)
+        target_parsers = command_parser.add_subparsers(dest="target", required=True)
+        for name, target in _TARGETS[command].items():
+            target_parser = target_parsers.add_parser(name, allow_abbrev=False)
+            for exponent, default in target.exponents.items():
+                target_parser.add_argument(
+                    f"--{exponent}", help=f"exponent {exponent}, as 4/3 or inf (default {default})"
+                )
+            for flag in target.flags:
+                target_parser.add_argument(f"--{flag}", **_FLAGS[flag])
+            target_parser.add_argument(
+                "--format", choices=["json", "csv"], default=default_format
+            )
+            target_parser.add_argument("--out", default=None, help="output path (default stdout)")
+            target_parser.set_defaults(**target.fixed)
     return parser
 
 
-def _add_exponent_flags(parser: argparse.ArgumentParser) -> None:
-    for name in ("p", "s", "q", "t", "r"):
-        parser.add_argument(
-            f"--{name}", default=None, help=f"exponent {name} (fraction like 4/3, or inf)"
-        )
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d1", type=int, default=1, help="first-group dimension")
-    parser.add_argument("--d2", type=int, default=1, help="second-group dimension")
-    parser.add_argument("--grid-n", type=int, default=DEFAULT_N, help="points per axis")
-    parser.add_argument(
-        "--grid-l", type=float, default=DEFAULT_EXTENT, help="domain extent per axis"
-    )
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
+def _echo(args) -> dict:
+    """Every parsed value, with the exponent flags resolved into one
+    ``exponents`` dict: defaults filled in, in lowest terms, or ``{}`` for
+    a bilinear run that draws random tuples."""
+    defaults = _TARGETS[args.command][args.target].exponents
+    echo = {key: value for key, value in vars(args).items() if key not in defaults}
+    given = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
+    if args.target == "bilinear" and not given:
+        echo["exponents"] = {}
+    else:
+        echo["exponents"] = {
+            name: str(as_exponent(given.get(name, default))) for name, default in defaults.items()
+        }
+    return echo
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -135,50 +161,24 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _render(
-    config: dict, fmt: str, records: list[dict], table: list[list], footer: dict | None
-) -> str:
+def _render(config: dict, fmt: str, rows: list, footer: dict | None) -> str:
     """An artifact: the config echo, one line per row, then ``footer`` unless None.
 
-    JSON writes each of ``{"config": config}``, ``records`` and the footer
-    as one sorted-key object per line. CSV writes a ``# config:`` comment,
-    then ``table`` (header row first) through ``csv.writer``, which gives
-    a float its repr and None an empty cell, then the footer as a ``#``
-    comment.
+    JSON writes each of ``{"config": config}``, the rows (dicts) and the
+    footer as one sorted-key object per line. CSV writes a ``# config:``
+    comment, then the rows (lists, header first) through ``csv.writer``,
+    which gives a float its repr and None an empty cell, then the footer
+    as a ``#`` comment.
     """
     if fmt == "json":
-        objects = [{"config": config}, *records, *([] if footer is None else [footer])]
+        objects = [{"config": config}, *rows, *([] if footer is None else [footer])]
         return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objects)
     buffer = io.StringIO()
     buffer.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-    csv.writer(buffer, lineterminator="\n").writerows(table)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     if footer is not None:
         buffer.write("# " + json.dumps(footer, sort_keys=True) + "\n")
     return buffer.getvalue()
-
-
-def _exponent_tuple(args) -> ExponentTuple:
-    """The five exponent flags, 2 for each one not given."""
-    return ExponentTuple(*(2 if getattr(args, n) is None else getattr(args, n) for n in "psqtr"))
-
-
-def _run_config(
-    args, command: str, target: str, default_format: str, exponents: dict
-) -> RunConfig:
-    _exponent_tuple(args)  # a malformed exponent flag is an error even where the run ignores it
-    return RunConfig(
-        command=command,
-        target=target,
-        n=args.grid_n,
-        extent=args.grid_l,
-        d1=args.d1,
-        d2=args.d2,
-        seed=args.seed,
-        trials=args.trials,
-        exponents=exponents,
-        format=args.format or default_format,
-        out=args.out,
-    )
 
 
 def _cmd_constants(args) -> int:
@@ -197,43 +197,19 @@ def _cmd_constants(args) -> int:
     else:
         config = {"r": [str(r) for r in exponents], "dim": dims, "format": args.format,
                   "out": args.out}
-        records = [dict(zip(header, row)) for row in table]
-        text = _render(config, args.format, records, [header, *table], None)
+        if args.format == "json":
+            rows = [dict(zip(header, row)) for row in table]
+        else:
+            rows = [header, *table]
+        text = _render(config, args.format, rows, None)
     _emit(text, args.out)
     return 0
 
 
-def _verify_config(args) -> RunConfig:
-    """The exponents a verify run reads, 2 for each one not given (none for
-    random bilinear tuples), and its grid: d2 = 0 for hausdorff-young."""
-    inequality = _VERIFY_NAMES[args.inequality]
-    if inequality == "bilinear":
-        given = any(getattr(args, name) is not None for name in "psqtr")
-        exponents = _exponent_tuple(args).as_dict() if given else {}
-    else:
-        names = ("p", "s") if inequality in ("variant", "same_order") else ("p",)
-        exponents = {name: str(as_exponent(getattr(args, name) or 2)) for name in names}
-    config = _run_config(args, "verify", args.inequality, "json", exponents)
-    return replace(config, d2=0) if inequality == "hausdorff_young" else config
-
-
-def _sweep_config(args) -> RunConfig:
-    """The exponents a sweep reads, defaults filled in: p = 2 and s = 4/3
-    for blowup, p = 2 for delta, all five (2 each) for necessity."""
-    if args.kind == "necessity":
-        exponents = _exponent_tuple(args).as_dict()
-    else:
-        defaults = {"p": "2", "s": "4/3"} if args.kind == "blowup" else {"p": "2"}
-        exponents = {
-            name: str(as_exponent(getattr(args, name) or d)) for name, d in defaults.items()
-        }
-    return _run_config(args, "sweep", args.kind, "csv", exponents)
-
-
-def _collect_verify_reports(config: RunConfig) -> list[RatioReport]:
-    inequality = _VERIFY_NAMES[config.target]
-    grid = config.grid()
-    exponents = config.exponents
+def _cmd_verify(args) -> int:
+    config = _echo(args)
+    inequality = args.target.replace("-", "_")
+    exponents = config["exponents"]
     tuples = None
     if inequality == "bilinear":
         if exponents:
@@ -243,39 +219,37 @@ def _collect_verify_reports(config: RunConfig) -> list[RatioReport]:
                 raise InadmissibleExponents(verdict.reason, exps)
             tuples = [exps]
         else:
-            tuples = random_admissible_tuples(10, config.seed)
-    functions = ensemble_stream(grid, config.trials, config.seed)
-    return run_suite(inequality, functions, exponents.get("p"), exponents.get("s"), tuples)
-
-
-def _cmd_verify(args) -> int:
-    config = _verify_config(args)
-    reports = _collect_verify_reports(config)
+            tuples = random_admissible_tuples(10, args.seed)
+    grid = GridSpec(args.d1, args.d2, args.n, args.extent)
+    functions = ensemble_stream(grid, args.trials, args.seed)
+    reports = run_suite(inequality, functions, exponents.get("p"), exponents.get("s"), tuples)
     failures = sum(not r.degenerate and not r.passed for r in reports)
     degenerate = sum(r.degenerate for r in reports)
     summary = {"summary": {"trials": len(reports), "failures": failures, "degenerate": degenerate}}
-    table = [["inequality_id", "exponents", "ratio", "pass"]]
-    for r in reports:
-        exps = r.descriptors.get("exponents", {})
-        cell = " ".join(f"{k}={v}" for k, v in exps.items())
-        table.append([r.inequality_id, cell, r.ratio, r.passed])
-    records = [r.json_dict() for r in reports]
-    _emit(_render(asdict(config), config.format, records, table, summary), config.out)
+    if args.format == "json":
+        rows = [r.json_dict() for r in reports]
+    else:
+        rows = [["inequality_id", "exponents", "ratio", "pass"]]
+        for r in reports:
+            exps = r.descriptors.get("exponents", {})
+            cell = " ".join(f"{k}={v}" for k, v in exps.items())
+            rows.append([r.inequality_id, cell, r.ratio, r.passed])
+    _emit(_render(config, args.format, rows, summary), args.out)
     return 1 if failures else 0
 
 
-def _sweep_text(report: SweepReport, config: RunConfig) -> str:
+def _sweep_text(report: SweepReport, config: dict) -> str:
     """The sweep's fields and config as one JSON document, or its points as
     CSV with the fit as the footer."""
     fields = asdict(report)
-    if config.format == "json":
-        return json.dumps({**fields, "config": asdict(config)}, sort_keys=True) + "\n"
+    if config["format"] == "json":
+        return json.dumps({**fields, "config": config}, sort_keys=True) + "\n"
     table = [["parameter", "observed", "log_parameter", "log_observed"]]
     for x, y in zip(report.parameter_values, report.observed):
         table.append([x, y, math.log(x), math.log(y)])
     for name in ("parameter_values", "observed", "details"):
         del fields[name]
-    return _render(asdict(config), "csv", [], table, fields)
+    return _render(config, "csv", table, fields)
 
 
 def _with_suffix(out: str | None, tag: str) -> str | None:
@@ -286,29 +260,30 @@ def _with_suffix(out: str | None, tag: str) -> str | None:
 
 
 def _cmd_sweep(args) -> int:
-    config = _sweep_config(args)
-    if args.kind == "blowup":
-        p, s = as_exponent(config.exponents["p"]), as_exponent(config.exponents["s"])
+    config = _echo(args)
+    exponents = config["exponents"]
+    if args.target == "blowup":
+        p, s = as_exponent(exponents["p"]), as_exponent(exponents["s"])
         if not s < p:
             raise ValueError(
                 f"blowup needs s < p strictly (got p={p}, s={s}); "
                 "at s >= p the ratio stays bounded"
             )
         report = blowup_sweep(p, s)
-        _emit(_sweep_text(report, config), config.out)
+        _emit(_sweep_text(report, config), args.out)
         return 0 if report.passed else 1
-    if args.kind == "delta":
-        report = delta_divergence_demo(as_exponent(config.exponents["p"]), grid=config.grid())
-        _emit(_sweep_text(report, config), config.out)
+    grid = GridSpec(1, 1, args.n, args.extent)
+    if args.target == "delta":
+        report = delta_divergence_demo(as_exponent(exponents["p"]), grid=grid)
+        _emit(_sweep_text(report, config), args.out)
         return 0 if report.passed else 1
-    exps = ExponentTuple(**config.exponents)
-    grid = config.grid()
+    exps = ExponentTuple(**exponents)
     all_pass = True
     chunks = []
     for axis in ("first", "second"):
         report = necessity_sweep(exps, grid=grid, axis=axis)
         all_pass = all_pass and report.passed
-        out = _with_suffix(config.out, axis)
+        out = _with_suffix(args.out, axis)
         if out is None:
             chunks.append(_sweep_text(report, config))
         else:
@@ -319,8 +294,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "constants":
             return _cmd_constants(args)

@@ -71,17 +71,28 @@ class SweepReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        diffs = np.diff(self.parameter_values)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("parameter values must be strictly monotone")
+        _sweep_parameters(self.parameter_values, "parameter values")
         if any(v <= 0 for v in self.observed):
             raise ValueError("observed values must be strictly positive")
 
 
+def _sweep_parameters(values: Sequence[float], name: str) -> tuple[float, ...]:
+    """``values`` as a tuple, if a log-log slope can be fitted over them:
+    at least two, all positive, strictly monotone. Each sweep checks its
+    parameters before it samples a point."""
+    values = tuple(values)
+    if len(values) < 2:
+        raise ValueError("a slope fit needs at least two parameter values")
+    if not all(v > 0 for v in values):
+        raise ValueError(f"{name} must be positive, got {values}")
+    diffs = np.diff(values)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError(f"{name} must be strictly monotone, got {values}")
+    return values
+
+
 def _fit_loglog(parameters: Sequence[float], observed: Sequence[float]) -> tuple[float, float]:
     """Least-squares slope in log-log, plus the max absolute deviation."""
-    if len(parameters) < 2:
-        raise ValueError("a slope fit needs at least two parameter values")
     logx = np.log(np.asarray(parameters, dtype=float))
     logy = np.log(np.asarray(observed, dtype=float))
     slope, intercept = np.polyfit(logx, logy, 1)
@@ -205,7 +216,9 @@ def blowup_sweep(
     one, two = Exponent(1), Exponent(2)
     if not (one < s <= p <= two):
         raise ValueError(f"blowup sweep needs 1 < s <= p <= 2, got p={p}, s={s}")
-    t_values = tuple(t_values) if t_values is not None else default_t_values()
+    t_values = _sweep_parameters(
+        default_t_values() if t_values is None else t_values, "dilation parameters"
+    )
     f = unit_gaussian()
     g = unit_gaussian()
     p_recip = float(p.reciprocal)
@@ -268,8 +281,8 @@ def delta_divergence_demo(
     p = as_exponent(p)
     if not (Exponent(1) < p <= Exponent(2)):
         raise ValueError(f"the divergence regime needs p in (1, 2], got {p}")
-    epsilon_values = (
-        tuple(epsilon_values) if epsilon_values is not None else default_epsilon_values(grid)
+    epsilon_values = _sweep_parameters(
+        default_epsilon_values(grid) if epsilon_values is None else epsilon_values, "widths"
     )
     f = unit_gaussian()
     lhs_spec = MixedNormSpec.standard(p.conjugate(), "inf")
@@ -338,11 +351,9 @@ def necessity_sweep(
         raise ValueError("necessity sweeps need r >= 2 so the constant is defined")
     if grid.d1 != 1 or grid.d2 != 1:
         raise ValueError("necessity sweeps run on the 1+1 dimensional grid")
-    lambda_values = (
-        tuple(lambda_values) if lambda_values is not None else default_lambda_values()
+    lambda_values = _sweep_parameters(
+        default_lambda_values() if lambda_values is None else lambda_values, "dilation scales"
     )
-    if not all(lam > 0 for lam in lambda_values):
-        raise ValueError(f"dilation scales must be positive, got {lambda_values}")
     axis_index = 0 if axis == "first" else 1
     constant = beckner_power(exponents.r.conjugate(), grid.d1)
     x = grid.space_coords()

@@ -294,7 +294,7 @@ def test_criterion_11_determinism(tmp_path, capsys):
 
     library_ok = payload() == payload()
 
-    # CLI level: identical RunConfig (including the output path), twice
+    # CLI level: identical configuration (including the output path), twice
     out = tmp_path / "suite.jsonl"
     argv = ["verify", "hausdorff-young", "--trials", "3", "--out", str(out)]
     assert main(argv) == 0

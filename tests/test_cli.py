@@ -186,9 +186,9 @@ class TestVerify:
         "argv, exponents, d2",
         [
             (["restriction"], {"p": "2"}, 1),
-            (["restriction", "--s", "3/2"], {"p": "2"}, 1),
+            (["restriction", "--p", "4/3"], {"p": "4/3"}, 1),
             (["hausdorff-young"], {"p": "2"}, 0),
-            (["hausdorff-young", "--d2", "3", "--p", "1.5"], {"p": "3/2"}, 0),
+            (["hausdorff-young", "--p", "1.5"], {"p": "3/2"}, 0),
             (["variant", "--s", "4/3"], {"p": "2", "s": "4/3"}, 1),
             (["bilinear"], {}, 1),
             (["bilinear", "--r", "inf"], {"p": "2", "s": "2", "q": "2", "t": "2", "r": "inf"}, 1),
@@ -331,7 +331,7 @@ class TestSweep:
         "argv, exponents",
         [
             (["blowup"], {"p": "2", "s": "4/3"}),
-            (["delta", "--p", "1.5", "--s", "3/2"], {"p": "3/2"}),
+            (["delta", "--p", "1.5"], {"p": "3/2"}),
             (["necessity", "--r", "inf"], {"p": "2", "s": "2", "q": "2", "t": "2", "r": "inf"}),
         ],
     )
@@ -350,19 +350,83 @@ class TestSweep:
         assert code == 1
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["verify", "restriction", "--s", "abc"], "Invalid literal for Fraction: 'abc'"),
-        (["verify", "hausdorff-young", "--r", "0.5"], "exponent must be >= 1, got 1/2"),
-        (["sweep", "delta", "--q", ""], "Invalid literal for Fraction: ''"),
-    ],
-)
-def test_malformed_exponent_exits_2_where_unread(capsys, argv, message):
-    code, out, err = run(capsys, [*argv, "--trials", "1"])
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}\n"
+EXPONENT_FLAGS = ("--p", "--s", "--q", "--t", "--r")
+SUITE_FLAGS = ("--d1", "--d2", "--grid-n", "--grid-l", "--trials", "--seed", "--format", "--out")
+ALL_FLAGS = EXPONENT_FLAGS + SUITE_FLAGS
+
+#: The flags each target reads, and so accepts.
+READS = {
+    ("verify", "restriction"): ("--p", *SUITE_FLAGS),
+    ("verify", "hausdorff-young"): ("--p", *(f for f in SUITE_FLAGS if f != "--d2")),
+    ("verify", "variant"): ("--p", "--s", *SUITE_FLAGS),
+    ("verify", "same-order"): ("--p", "--s", *SUITE_FLAGS),
+    ("verify", "bilinear"): (*EXPONENT_FLAGS, *SUITE_FLAGS),
+    ("sweep", "blowup"): ("--p", "--s", "--format", "--out"),
+    ("sweep", "delta"): ("--p", "--grid-n", "--grid-l", "--format", "--out"),
+    ("sweep", "necessity"): (*EXPONENT_FLAGS, "--grid-n", "--grid-l", "--format", "--out"),
+}
+UNREAD = [
+    (*target, flag) for target, reads in READS.items() for flag in ALL_FLAGS if flag not in reads
+]
+
+
+class TestFlags:
+    """Each target accepts exactly the flags it reads, and echoes each one."""
+
+    def test_each_target_accepts_the_flags_it_reads(self, target_flags):
+        assert target_flags == {target: set(reads) for target, reads in READS.items()}
+        assert len(UNREAD) == 36
+
+    @pytest.mark.parametrize("command, target", READS)
+    def test_accepted_flags_map_onto_the_echo_keys(self, target_flags, command, target):
+        flags = target_flags[command, target]
+        args = cli._build_parser().parse_args([command, target, "--p", "2"])
+        echo = cli._echo(args)
+        key = {"--grid-n": "n", "--grid-l": "extent", **dict.fromkeys(EXPONENT_FLAGS, "exponents")}
+        fixed = cli._TARGETS[command][target].fixed
+        echoed = set(echo) - {"command", "target", *fixed}
+        assert {key.get(flag, flag[2:]) for flag in flags} == echoed
+        assert {f"--{name}" for name in echo["exponents"]} == flags & set(EXPONENT_FLAGS)
+
+    @pytest.mark.parametrize("command, target, flag", UNREAD)
+    def test_an_unread_flag_is_a_usage_error(self, capsys, tmp_path, command, target, flag):
+        out = tmp_path / "artifact"
+        with pytest.raises(SystemExit) as exit_:
+            main([command, target, flag, "2", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "restriction", "--t", "4"],  # not --trials
+            ["verify", "restriction", "--s", "5"],  # not --seed
+            ["verify", "restriction", "--tri", "4"],
+            ["sweep", "blowup", "--form", "json"],
+            ["constants", "--r", "2", "--form", "json"],
+        ],
+    )
+    def test_flags_must_be_spelled_in_full(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "restriction", "--p", ""], "Invalid literal for Fraction: ''"),
+            (["verify", "variant", "--s", "abc"], "Invalid literal for Fraction: 'abc'"),
+            (["verify", "bilinear", "--r", ""], "Invalid literal for Fraction: ''"),
+            (["sweep", "necessity", "--t", "0.5"], "exponent must be >= 1, got 1/2"),
+        ],
+    )
+    def test_malformed_exponent_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestDeterminism:

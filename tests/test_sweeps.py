@@ -176,7 +176,7 @@ class TestDeltaDivergence:
 
     def test_epsilon_floor_propagates(self):
         with pytest.raises(GenerationError):
-            delta_divergence_demo(2, epsilon_values=(0.05,))
+            delta_divergence_demo(2, epsilon_values=(0.1, 0.05))
 
     def test_exponent_gate(self):
         with pytest.raises(ValueError):
@@ -231,17 +231,43 @@ class TestNecessitySweep:
 
     def test_runaway_dilation_is_caught(self):
         with pytest.raises(GenerationError):
-            necessity_sweep(self.ADMISSIBLE, lambda_values=(64.0,))
+            necessity_sweep(self.ADMISSIBLE, lambda_values=(64.0, 128.0))
         with pytest.raises(GenerationError):
-            necessity_sweep(self.ADMISSIBLE, lambda_values=(1.0 / 64.0,))
+            necessity_sweep(self.ADMISSIBLE, lambda_values=(1.0 / 64.0, 1.0 / 128.0))
 
     def test_containment_errors_name_side_and_extent(self):
         with pytest.raises(GenerationError, match="axis 0 frequency-side") as err:
-            necessity_sweep(self.ADMISSIBLE, lambda_values=(64.0,))
+            necessity_sweep(self.ADMISSIBLE, lambda_values=(64.0, 128.0))
         assert err.value.required_extent is None
         with pytest.raises(GenerationError, match="axis 0 space-side") as err:
-            necessity_sweep(self.ADMISSIBLE, lambda_values=(1.0 / 64.0,))
+            necessity_sweep(self.ADMISSIBLE, lambda_values=(1.0 / 64.0, 1.0 / 128.0))
         assert err.value.required_extent > GRID.extent
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((0.5,), "at least two parameter values"),
+        ((1.0, 0.5, 0.75, 1.0 / 32.0), "must be strictly monotone"),
+        ((1.0, 2.0, 1.5), "must be strictly monotone"),
+        ((1.0, 0.0), "must be positive"),
+    ],
+)
+@pytest.mark.parametrize(
+    "sweep, sampler",
+    [
+        (lambda v: blowup_sweep(2, "4/3", v), "shear_product"),
+        (lambda v: delta_divergence_demo(2, v), "near_delta_family"),
+        (lambda v: necessity_sweep(TestNecessitySweep.ADMISSIBLE, v), "check_containment"),
+    ],
+    ids=["blowup", "delta", "necessity"],
+)
+def test_unfit_parameters_rejected_before_sampling(monkeypatch, sweep, sampler, values, message):
+    calls = []
+    monkeypatch.setattr(sweeps, sampler, lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        sweep(values)
+    assert calls == []
 
 
 class TestDefaults:

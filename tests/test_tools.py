@@ -21,3 +21,13 @@ def test_every_digest_invocation_parses():
     parser = cli._build_parser()
     for argv in invocations:
         parser.parse_args(argv)  # argparse exits on an unknown flag or choice
+
+
+def test_digests_pass_every_flag_of_every_target(target_flags):
+    invocations = _load(DIGESTS).INVOCATIONS
+    for (command, target), flags in target_flags.items():
+        used = {
+            arg for argv in invocations if argv[:2] == [command, target]
+            for arg in argv if arg.startswith("--")
+        }
+        assert flags <= used, (command, target, flags - used)

@@ -52,6 +52,24 @@ INVOCATIONS: list[list[str]] = [
     # artifacts written to files
     ["verify", "variant", "--p", "4/3", "--s", "3/2", "--trials", "3", "--out", "variant.jsonl"],
     ["sweep", "necessity", "--r", "inf", "--out", "necessity.csv"],
+    # every flag of every target, defaults spelled out where another value costs more
+    *(
+        ["verify", inequality, *exponents, "--d1", "1", *d2, "--grid-n", "192", "--grid-l", "16",
+         "--trials", "2", "--seed", "11", "--format", "csv", "--out", f"{inequality}.csv"]
+        for inequality, exponents, d2 in (
+            ("restriction", ["--p", "4/3"], ["--d2", "1"]),
+            ("hausdorff-young", ["--p", "3/2"], []),
+            ("variant", ["--p", "3/2", "--s", "4/3"], ["--d2", "1"]),
+            ("same-order", ["--p", "4/3", "--s", "3/2"], ["--d2", "1"]),
+            ("bilinear", ["--p", "2", "--s", "2", "--q", "2", "--t", "2", "--r", "inf"],
+             ["--d2", "1"]),
+        )
+    ),
+    ["sweep", "blowup", "--p", "2", "--s", "4/3", "--format", "csv", "--out", "blowup.csv"],
+    ["sweep", "delta", "--p", "4/3", "--grid-n", "256", "--grid-l", "12", "--format", "json",
+     "--out", "delta.json"],
+    ["sweep", "necessity", "--p", "2", "--s", "2", "--q", "2", "--t", "2", "--r", "inf",
+     "--grid-n", "192", "--grid-l", "16", "--format", "json", "--out", "necessity.json"],
 ]
 
 
