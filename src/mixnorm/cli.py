@@ -98,13 +98,24 @@ _TARGETS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand parser that reports an argument it does not take
+    itself, so the usage printed is its own, not the root parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unread = super().parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: {' '.join(unread)}")
+        return namespace, unread
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixnorm",
         description="Numerical checks for mixed-norm Fourier inequalities.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     constants = sub.add_parser(
         "constants", help="print sharp Hausdorff-Young constants C_r", allow_abbrev=False

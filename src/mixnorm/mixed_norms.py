@@ -13,6 +13,7 @@ magnitude under ("slice", partner serial).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -162,12 +163,19 @@ def slice_norm(
     At the centered grid's zero index the slice is exactly the transform
     of the x''-marginal; with no second group (d2 = 0) it is the whole
     transform. F's memo keeps the slice magnitude, keyed by the partner's
-    serial, so each further exponent only reduces it.
+    serial, so each further exponent only reduces it. A product that
+    overflows has an infinite norm, which marks its trial degenerate.
     """
     key = ("slice", None if partner is None else partner._serial)
     magnitude = F._reductions.get(key)
     if magnitude is None:
-        product = F if partner is None else F.with_values(F.values * partner.values)
+        product = F
+        if partner is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = F.values * partner.values
+            if not np.all(np.isfinite(values)):
+                return math.inf
+            product = F.with_values(values)
         if F.grid.d2 > 0:
             product = marginal_second(product)
         magnitude = np.abs(fourier(product).values)

@@ -7,12 +7,18 @@ grids are centered with N even, so per axis
     F̂(ξ_k) = h · (−1)^{N/2} · (−1)^k · FFT[(−1)^j F(x_j)]_k
             = h · fftshift(FFT[ifftshift(F)])_k
 
+With N even, fftshift swaps the two halves of an axis, so it is undone
+in place on the FFT's own buffer: a transform holds two grid arrays, its
+input and its result.
+
 Transforms act on whole axis groups (first, second, or all), matching
 the partial-transform structure of the inequalities: a full transform is
 the composition of the second-group and first-group partial transforms.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -39,6 +45,35 @@ def _normalize_selector(grid: GridSpec, axes: str) -> tuple[int, ...]:
     raise ValueError(f"axes selector must be 'first', 'second', or 'all', got {axes!r}")
 
 
+#: Slabs of the first shifted axis per swap block of ``_swap_halves``.
+_SWAP_BLOCK = 64
+
+
+def _swap_halves(values: np.ndarray, axes: list[int]) -> None:
+    """``fftshift`` in place over ``axes``, each of even length n.
+
+    The shift moves every point by n/2 along each of ``axes``, which swaps
+    each orthant of those axes with the opposite one. The swaps go 64
+    slabs of the first of ``axes`` at a time, so the scratch copy is small.
+    When that axis is axis 0 the two sides of a swap also lie apart in
+    memory, so NumPy makes no copy of its own.
+    """
+    first, *rest = sorted(axes)
+    half = values.shape[first] // 2
+    halves = (slice(None, half), slice(half, None))
+    for start in range(0, half, _SWAP_BLOCK):
+        end = min(start + _SWAP_BLOCK, half)
+        for corner in itertools.product((0, 1), repeat=len(rest)):
+            low = [slice(None)] * values.ndim
+            high = [slice(None)] * values.ndim
+            low[first], high[first] = slice(start, end), slice(half + start, half + end)
+            for axis, side in zip(rest, corner):
+                low[axis], high[axis] = halves[side], halves[1 - side]
+            low, high = values[tuple(low)], values[tuple(high)]
+            # The copy of low is freed here, before the next swap's.
+            low[...], high[...] = high, low.copy()
+
+
 def _transform(F: SampledFunction, axes: str, forward: bool) -> SampledFunction:
     """Transform the selected groups, flipping each one's side.
 
@@ -59,9 +94,11 @@ def _transform(F: SampledFunction, axes: str, forward: bool) -> SampledFunction:
         side[group] = flip
         axes_list += F.group_axes(group)
     kernel = np.fft.fftn if forward else np.fft.ifftn
-    # ifftshift returns a fresh array, so the kernel may write into it.
-    shifted = np.fft.ifftshift(F.values, axes=axes_list)
-    values = np.fft.fftshift(kernel(shifted, axes=axes_list, out=shifted), axes=axes_list)
+    # ifftshift returns a fresh array, so the kernel may write into it and
+    # the result is shifted back in place: no third grid array.
+    values = np.fft.ifftshift(F.values, axes=axes_list)
+    kernel(values, axes=axes_list, out=values)
+    _swap_halves(values, axes_list)
     values *= F.grid.spacing ** (len(axes_list) if forward else -len(axes_list))
     return SampledFunction(F.grid, values, tuple(side))
 

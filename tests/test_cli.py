@@ -394,7 +394,10 @@ class TestFlags:
         with pytest.raises(SystemExit) as exit_:
             main([command, target, flag, "2", "--out", str(out)])
         assert exit_.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: mixnorm {command} {target} ")
+        assert f"unrecognized arguments: {flag} 2" in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize(

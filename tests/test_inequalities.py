@@ -265,6 +265,17 @@ class TestStructure:
         report = check_restriction(zero, "4/3")
         assert report.degenerate and not report.passed and report.ratio is None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_product_is_degenerate(self):
+        # at 2^600 each factor is finite but F·G overflows
+        scale = 2.0**600
+        F = random_ensemble(GRID2, 6, seed=11)
+        G = random_ensemble(GRID2, 6, seed=12)
+        F, G = F.with_values(scale * F.values), G.with_values(scale * G.values)
+        for exps in random_admissible_tuples(10, seed=77):
+            report = check_bilinear(F, G, exps)
+            assert report.degenerate and not report.passed and report.ratio is None
+
 
 class TestTupleGenerator:
     def test_deterministic_and_admissible(self):

@@ -104,11 +104,11 @@ class TestBlowupSweep:
         report = blowup_sweep(2, "4/3", t_values=(1.0, 0.5))
         assert all(err <= 1e-6 for err in report.details["oracle_max_error"])
 
-    def test_peak_memory_stays_under_four_arrays_of_the_largest_grid(self):
+    def test_peak_memory_stays_near_two_arrays_of_the_largest_grid(self):
         """At the largest grid F, F-hat, the oracle and their difference
         must not all be live at once: 4.5 complex arrays did not fit the
-        benchmark's memory bound. The transform itself holds F, its shifted
-        copy and the result, so the peak is a little over 3 arrays only if
+        benchmark's memory bound. The transform holds F and its result,
+        shifted in place, so the peak stays a little over 2 arrays only if
         the previous point's F-hat and the oracle's full-grid temporaries
         are gone by then."""
         tracemalloc.start()
@@ -118,7 +118,7 @@ class TestBlowupSweep:
         finally:
             tracemalloc.stop()
         n_max = max(grid["n"] for grid in report.details["grids"])
-        assert peak <= 3.25 * 16 * n_max**2
+        assert peak <= 2.25 * 16 * n_max**2
 
     def test_equal_exponents_stay_flat(self):
         report = blowup_sweep(2, 2, t_values=(1.0, 0.5, 0.25, 0.125))

@@ -1,6 +1,7 @@
 """DFT fidelity: centered phases, partial transforms, exact identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,56 @@ class TestFourier:
             fourier(f, "second")
         with pytest.raises(ValueError):
             fourier(f, "sideways")
+
+    def test_one_transform_holds_one_array_beyond_its_input(self):
+        grid = GridSpec.default(n=512, extent=32.0)
+        F = random_ensemble(grid, 6, seed=7)
+        fourier(F)  # warm-up: lazily built FFT plans are not the transform's arrays
+        tracemalloc.start()
+        try:
+            fourier(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * F.values.nbytes
+
+
+#: (d1, d2) -> sizes n: halves below the 64-slab swap block (16, 72), and
+#: halves that are not a multiple of it (200, 1980).
+SHIFT_CASES = [
+    (d1, d2, n)
+    for (d1, d2), sizes in {
+        (1, 0): (16, 200, 1980),
+        (1, 1): (16, 200, 1980),
+        (2, 1): (16, 72),
+        (1, 2): (16, 72),
+    }.items()
+    for n in sizes
+]
+
+
+@pytest.mark.parametrize("d1, d2, n", SHIFT_CASES)
+def test_transform_equals_the_shift_formula_bit_for_bit(d1, d2, n):
+    """h^±k · fftshift(fftn/ifftn(ifftshift(v))) over the selected axes,
+    with ``==``: the in-place shift is the same permutation of the same
+    FFT output."""
+    grid = GridSpec(d1, d2, n, 16.0)
+    rng = np.random.default_rng(n + 10 * d1 + 100 * d2)
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    selected = {"first": grid.first_axes, "second": grid.second_axes}
+    selected["all"] = grid.first_axes + grid.second_axes
+    groups = 1 if d2 == 0 else 2
+    for selector, axes in selected.items():
+        if not axes:
+            continue
+        for transform, kernel, side, k in (
+            (fourier, np.fft.fftn, SPACE, len(axes)),
+            (inverse_fourier, np.fft.ifftn, FREQUENCY, -len(axes)),
+        ):
+            F = SampledFunction(grid, values, (side,) * groups)
+            shifted = np.fft.ifftshift(values, axes=axes)
+            expected = np.fft.fftshift(kernel(shifted, axes=axes), axes=axes) * grid.spacing**k
+            assert np.array_equal(transform(F, selector).values, expected)
 
 
 class TestGridSpec:
