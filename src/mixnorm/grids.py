@@ -17,10 +17,15 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["GridSpec", "SampledFunction", "SPACE", "FREQUENCY"]
+__all__ = ["GridSpec", "SampledFunction", "NonFiniteValues", "SPACE", "FREQUENCY"]
 
 SPACE = "space"
 FREQUENCY = "frequency"
+
+
+class NonFiniteValues(ValueError):
+    """Samples that hold an infinity or a NaN; no ``SampledFunction`` does."""
+
 
 #: Construction serials of ``SampledFunction`` objects.
 _SERIALS = itertools.count()
@@ -124,7 +129,7 @@ class SampledFunction:
                 f"value shape {values.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("sampled values must all be finite")
+            raise NonFiniteValues("sampled values must all be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "side", tuple(self.side))

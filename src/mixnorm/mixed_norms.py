@@ -9,6 +9,11 @@ Each function's memo belongs to this module alone. An inner reduction of
 F or of F-hat is kept under (spectrum, inner group, inner exponent), so a
 repeated norm redoes only the outer layer; ``slice_norm`` keeps the slice
 magnitude under ("slice", partner serial).
+
+A memo miss reads the complex array in blocks of whole rows of axis 0,
+about 4 MiB each, and takes each block's magnitudes, powers and sums on
+their own. No full-grid float array is made, and every stage equals the
+one reduced from the whole array, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exponents import Exponent, ExponentLike, as_exponent, holder_exponents
-from .grids import SampledFunction
+from .grids import NonFiniteValues, SampledFunction
 from .transform import fourier, marginal_second
 
 __all__ = [
@@ -73,9 +78,10 @@ class MixedNormSpec:
         return cls(outer, 0, inner)
 
 
-def _powers(values: np.ndarray, a: float) -> np.ndarray:
+def _powers(values: np.ndarray, a: float, top: float | None = None) -> np.ndarray:
     """``values**a``, except that for 2 < a <= 12 a term whose power is
-    under 2^-1022 of the largest power is 0.
+    under 2^-1022 of the largest power is 0. ``top`` is the largest value of
+    the array that ``values`` is a block of; by default ``values.max()``.
 
     glibc's pow takes a slow path wherever its result underflows, on nearly
     a third of a sampled ensemble at a = 9. A skipped term cannot move a sum
@@ -84,23 +90,57 @@ def _powers(values: np.ndarray, a: float) -> np.ndarray:
     group, so no outer layer sees it either; above a = 12 that bound fails.
     A NaN maximum skips nothing, so NaN still propagates.
     """
-    floor = values.max() * 2.0 ** (-1022.0 / a) if 2.0 < a <= 12.0 else 0.0
+    if not 2.0 < a <= 12.0:
+        return values**a
+    floor = (values.max() if top is None else top) * 2.0 ** (-1022.0 / a)
     if not floor > 0.0:
         return values**a
     return np.power(values, a, out=np.zeros_like(values), where=values >= floor)
 
 
-def _reduce_each(
+#: Bytes of complex input per block of a memo-miss reduction. A 256² array
+#: is one block.
+_BLOCK_BYTES = 4 << 20
+
+
+def _inner_stages(
     values: np.ndarray, layers: list[tuple[tuple[int, ...], float]], e: Exponent
 ) -> list[np.ndarray]:
-    """One norm layer per (axes, weight) pair in ``layers``, from one power pass."""
-    if e.is_infinite:
-        return [values.max(axis=axes) for axes, _ in layers]
-    a = float(e.value)
-    if a == 1.0:  # x**1.0 == x, but NumPy still makes a full pass for it
-        return [weight * values.sum(axis=axes) for axes, weight in layers]
-    powers = _powers(values, a)
-    return [(weight * powers.sum(axis=axes)) ** (1.0 / a) for axes, weight in layers]
+    """One norm layer of ``np.abs(values)`` per (axes, weight) pair in
+    ``layers``, read in blocks of whole rows of axis 0.
+
+    A layer over trailing axes reduces each row on its own. NumPy reduces
+    leading axes, axis 0 among them, one row after another, so each block
+    is folded to rows and reduced with the previous blocks' result as its
+    first row; adding per-block sums would not give the same bits.
+    """
+    rows = max(1, _BLOCK_BYTES // values[0].nbytes)
+    blocks = [values[i : i + rows] for i in range(0, len(values), rows)]
+    a = float(e)
+    top = None
+    if len(blocks) > 1 and 2.0 < a <= 12.0:
+        # _powers' floor comes from the whole array; np.max, unlike max, keeps a NaN
+        top = np.max([np.abs(block).max() for block in blocks])
+    reduce = np.maximum.reduce if a == math.inf else np.add.reduce
+    parts: list[list[np.ndarray]] = [[] for _ in layers]
+    for block in blocks:
+        terms = np.abs(block)
+        if a not in (1.0, math.inf):
+            terms = _powers(terms, a, top)
+        for (axes, _), part in zip(layers, parts):
+            if 0 not in axes:
+                part.append(reduce(terms, axis=axes))
+                continue
+            folded = terms.reshape(-1, *terms.shape[len(axes) :])
+            if part:  # a leading layer's part is its one running result
+                folded = np.concatenate((part.pop()[None], folded))
+            part.append(reduce(folded, axis=0))
+    stages = [np.concatenate(part) if len(part) > 1 else part[0] for part in parts]
+    if a == math.inf:
+        return stages
+    if a == 1.0:
+        return [weight * stage for (_, weight), stage in zip(layers, stages)]
+    return [(weight * stage) ** (1.0 / a) for (_, weight), stage in zip(layers, stages)]
 
 
 def _memo_norm(F: SampledFunction, spec: MixedNormSpec, spectrum: bool) -> float:
@@ -118,9 +158,7 @@ def _memo_norm(F: SampledFunction, spec: MixedNormSpec, spectrum: bool) -> float
         G = fourier(F) if spectrum else F
         groups = (0, 1) if spectrum else (spec.inner_group,)
         layers = [(G.group_axes(g), G.group_spacing(g) ** len(G.group_axes(g))) for g in groups]
-        magnitude = np.abs(G.values)
-        del G  # frees a spectrum before the reduction makes its temporaries
-        stages = _reduce_each(magnitude, layers, spec.inner_exponent)
+        stages = _inner_stages(G.values, layers, spec.inner_exponent)
         for group, stage in zip(groups, stages):
             F._reductions[(spectrum, group, spec.inner_exponent)] = stage
     stage = F._reductions[key]
@@ -151,8 +189,12 @@ def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
 
 def _magnitude_norm(magnitude: np.ndarray, weight: float, a: ExponentLike) -> float:
     """The L^a norm over every axis of an array of magnitudes with cell weight ``weight``."""
-    axes = tuple(range(magnitude.ndim))
-    return float(_reduce_each(magnitude, [(axes, weight)], as_exponent(a))[0])
+    a = float(as_exponent(a))
+    if a == math.inf:
+        return float(magnitude.max())
+    if a == 1.0:  # x**1.0 == x, but NumPy still makes a full pass for it
+        return float(weight * magnitude.sum())
+    return float((weight * _powers(magnitude, a).sum()) ** (1.0 / a))
 
 
 def slice_norm(
@@ -163,22 +205,21 @@ def slice_norm(
     At the centered grid's zero index the slice is exactly the transform
     of the x''-marginal; with no second group (d2 = 0) it is the whole
     transform. F's memo keeps the slice magnitude, keyed by the partner's
-    serial, so each further exponent only reduces it. A product that
-    overflows has an infinite norm, which marks its trial degenerate.
+    serial, so each further exponent only reduces it. A product, marginal
+    or transform that overflows gives an infinite norm, which marks its
+    trial degenerate, and is not kept.
     """
     key = ("slice", None if partner is None else partner._serial)
     magnitude = F._reductions.get(key)
     if magnitude is None:
-        product = F
-        if partner is not None:
+        try:
             with np.errstate(over="ignore", invalid="ignore"):
-                values = F.values * partner.values
-            if not np.all(np.isfinite(values)):
-                return math.inf
-            product = F.with_values(values)
-        if F.grid.d2 > 0:
-            product = marginal_second(product)
-        magnitude = np.abs(fourier(product).values)
+                product = F if partner is None else F.with_values(F.values * partner.values)
+                if F.grid.d2 > 0:
+                    product = marginal_second(product)
+                magnitude = np.abs(fourier(product).values)
+        except NonFiniteValues:
+            return math.inf
         F._reductions[key] = magnitude
     return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, a)
 

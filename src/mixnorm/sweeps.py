@@ -155,6 +155,16 @@ def closed_form_transform(
     here directly on the frequency grid. The sweep uses it as an
     independent oracle for ``fourier(shear_product(...))``.
     """
+    row, ridge = _closed_form_factors(f, g, t, grid, p)
+    return SampledFunction(grid, row[None, :] * ridge, (FREQUENCY, FREQUENCY))
+
+
+def _closed_form_factors(
+    f: GaussianMix, g: GaussianMix, t: float, grid: GridSpec, p: ExponentLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of ``closed_form_transform``: its values are
+    ``row[None, :] * ridge``, with ``row`` the n values of
+    ghat(eta) * t^{-1/p'} and ``ridge`` an n x n view of 2n - 1 values."""
     if not t > 0:
         raise ValueError(f"dilation parameter must be positive, got {t}")
     if grid.d1 != 1 or grid.d2 != 1:
@@ -176,8 +186,7 @@ def closed_form_transform(
     # Hankel: row i is the window of the 2n - 1 sums starting at index i.
     sums = (np.arange(2 * grid.n - 1) - 2 * (grid.n // 2)) * grid.freq_spacing
     ridge = sliding_window_view(fhat.evaluate(sums / t), grid.n)
-    values = ghat.evaluate(xi)[None, :] * scale * ridge
-    return SampledFunction(grid, values, (FREQUENCY, FREQUENCY))
+    return ghat.evaluate(xi) * scale, ridge
 
 
 def _auto_grid(fm: GaussianMix, gm: GaussianMix) -> GridSpec:
@@ -235,13 +244,12 @@ def blowup_sweep(
         F = shear_product(f_t, g, point_grid)
         rhs = mixed_norm(F, rhs_spec)
         Fhat = fourier(F)
-        del F  # the oracle comparison is this sweep's memory peak
-        oracle = closed_form_transform(f, g, t, point_grid, p)
-        # 64 rows at a time, so no full-grid difference is ever live
+        del F  # the sweep's memory peak is F and Fhat inside fourier, not later
+        row, ridge = _closed_form_factors(f, g, t, point_grid, p)
+        # the oracle is built 64 rows at a time, never as a full grid
         blocks = range(0, point_grid.n, 64)
-        diffs = [np.abs(Fhat.values[i : i + 64] - oracle.values[i : i + 64]).max() for i in blocks]
+        diffs = [np.abs(Fhat.values[i : i + 64] - row * ridge[i : i + 64]).max() for i in blocks]
         oracle_errors.append(float(max(diffs)))
-        del oracle
         lhs = mixed_norm(Fhat, lhs_spec)
         del Fhat  # else it is still alive while the next point is transformed
         observed.append(lhs / rhs)

@@ -1,6 +1,7 @@
 """Ratio harnesses: Gaussian equality cases, random suites, report verdicts."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mixnorm.inequalities import (
     random_admissible_tuples,
     run_suite,
 )
-from mixnorm.mixed_norms import MixedNormSpec, mixed_norm
+from mixnorm.mixed_norms import MixedNormSpec, mixed_norm, slice_norm
 from mixnorm.sampling import gaussian_product, random_ensemble
 from mixnorm.transform import fourier, slice_second_zero
 
@@ -275,6 +276,22 @@ class TestStructure:
         for exps in random_admissible_tuples(10, seed=77):
             report = check_bilinear(F, G, exps)
             assert report.degenerate and not report.passed and report.ratio is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("k", [1022, 1023])
+    def test_overflowing_marginal_is_degenerate(self, k):
+        # F is finite, but its x''-marginal overflows
+        F = random_ensemble(GRID2, 6, seed=11)
+        F = F.with_values(2.0**k * F.values)
+        report = check_restriction(F, "4/3")
+        assert report.degenerate and not report.passed and report.ratio is None
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_slice_transform_is_infinite_and_not_kept(self):
+        # the marginal, 2^1019, is finite; its 256-point DFT sum is not
+        F = SampledFunction(GRID2, np.full(GRID2.shape, 2.0**1015, complex), (SPACE, SPACE))
+        assert slice_norm(F, 4) == math.inf
+        assert ("slice", None) not in F._reductions
 
 
 class TestTupleGenerator:

@@ -1,10 +1,12 @@
 """Mixed-norm quadrature against closed forms, and the comparison oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mixnorm import mixed_norms
 from mixnorm.exponents import as_exponent
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.mixed_norms import (
@@ -15,8 +17,10 @@ from mixnorm.mixed_norms import (
     minkowski_compare,
     mixed_norm,
     plain_norm,
+    spectrum_norm,
 )
 from mixnorm.sampling import gaussian_product, random_ensemble
+from mixnorm.transform import fourier
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
@@ -30,6 +34,51 @@ UNIT_MASS = GridSpec(1, 1, n=4, extent=1.0)
 
 def on_grid(grid, values):
     return SampledFunction(grid, np.asarray(values, dtype=complex), (SPACE, SPACE))
+
+
+def assert_plain_riemann_sums(outer, inner):
+    F = random_ensemble(GRID2, 6, seed=3)
+    h = GRID2.spacing
+
+    def layer(values, a, axis):
+        if a == 1:
+            return h * values.sum(axis=axis)
+        return (h * (values**2.0).sum(axis=axis)) ** 0.5
+
+    expected = layer(layer(np.abs(F.values), inner, 1), outer, 0)
+    assert mixed_norm(F, MixedNormSpec.standard(outer, inner)) == expected
+
+
+def assert_skipped_powers_leave_every_bit(inner):
+    h = GRID2.spacing
+
+    def layer(values, a, axis):
+        if a == math.inf:
+            return values.max(axis=axis)
+        if a == 1:
+            return h * values.sum(axis=axis)
+        return (h * (values**a).sum(axis=axis)) ** (1.0 / a)
+
+    base = random_ensemble(GRID2, 6, seed=500).values
+    for k in (-1000, -150, -100, -50, 0, 60, 1000):
+        F = SampledFunction(GRID2, 2.0**k * base, (SPACE, SPACE))
+        for orient, axis in ((MixedNormSpec.standard, 1), (MixedNormSpec.reversed, 0)):
+            with np.errstate(over="ignore"):
+                stage = layer(np.abs(F.values), inner, axis)
+            for outer in ("1", "4/3", "3/2", "2", "3", "8", "inf"):
+                expected = layer(stage, float(as_exponent(outer).value), 0)
+                with np.errstate(over="ignore"):
+                    assert mixed_norm(F, orient(outer, inner)) == expected
+
+
+def whole_array_stage(values, axes, weight, a):
+    """An inner layer reduced from the whole magnitude array at once."""
+    magnitude = np.abs(values)
+    if a == math.inf:
+        return magnitude.max(axis=axes)
+    if a == 1.0:
+        return weight * magnitude.sum(axis=axes)
+    return (weight * mixed_norms._powers(magnitude, a).sum(axis=axes)) ** (1.0 / a)
 
 
 class TestMixedNormSpec:
@@ -86,41 +135,14 @@ class TestMixedNorm:
 
     @pytest.mark.parametrize("outer, inner", [(1, 1), (2, 1), (1, 2)])
     def test_exponent_one_is_the_plain_riemann_sum(self, outer, inner):
-        F = random_ensemble(GRID2, 6, seed=3)
-        h = GRID2.spacing
-
-        def layer(values, a, axis):
-            if a == 1:
-                return h * values.sum(axis=axis)
-            return (h * (values**2.0).sum(axis=axis)) ** 0.5
-
-        expected = layer(layer(np.abs(F.values), inner, 1), outer, 0)
-        assert mixed_norm(F, MixedNormSpec.standard(outer, inner)) == expected
+        assert_plain_riemann_sums(outer, inner)
 
     @pytest.mark.parametrize("inner", [3, 4, 5, 8, 9, 12, 20, 100])
     def test_skipped_powers_leave_every_bit(self, inner):
         """Powers under 2^-1022 of the largest are skipped; every two-layer
         norm still equals the one built from plain ``values**a``, at scales
         where the terms underflow, and where the outcome is 0 or inf."""
-        h = GRID2.spacing
-
-        def layer(values, a, axis):
-            if a == math.inf:
-                return values.max(axis=axis)
-            if a == 1:
-                return h * values.sum(axis=axis)
-            return (h * (values**a).sum(axis=axis)) ** (1.0 / a)
-
-        base = random_ensemble(GRID2, 6, seed=500).values
-        for k in (-1000, -150, -100, -50, 0, 60, 1000):
-            F = SampledFunction(GRID2, 2.0**k * base, (SPACE, SPACE))
-            for orient, axis in ((MixedNormSpec.standard, 1), (MixedNormSpec.reversed, 0)):
-                with np.errstate(over="ignore"):
-                    stage = layer(np.abs(F.values), inner, axis)
-                for outer in ("1", "4/3", "3/2", "2", "3", "8", "inf"):
-                    expected = layer(stage, float(as_exponent(outer).value), 0)
-                    with np.errstate(over="ignore"):
-                        assert mixed_norm(F, orient(outer, inner)) == expected
+        assert_skipped_powers_leave_every_bit(inner)
 
     def test_product_gaussian_closed_form(self):
         F = gaussian_product(GRID2, [1.0, 2.0])
@@ -156,6 +178,79 @@ class TestMixedNorm:
         f = gaussian_product(GRID1, [1.0])
         with pytest.raises(ValueError):
             mixed_norm(f, MixedNormSpec.standard(2, 2))
+
+
+class TestBlockedReduction:
+    """A memo miss reads its array in blocks of whole rows of axis 0; what
+    it keeps and returns equals the whole-array reduction bit for bit."""
+
+    @pytest.fixture
+    def seven_rows(self, monkeypatch):
+        """Split a 256² array into 36 blocks of 7 rows and one of 4."""
+        monkeypatch.setattr(mixed_norms, "_BLOCK_BYTES", 7 * 256 * 16)
+
+    @pytest.mark.usefixtures("seven_rows")
+    @pytest.mark.parametrize("outer, inner", [(1, 1), (2, 1), (1, 2)])
+    def test_exponent_one_is_the_plain_riemann_sum(self, outer, inner):
+        assert_plain_riemann_sums(outer, inner)
+
+    @pytest.mark.usefixtures("seven_rows")
+    @pytest.mark.parametrize("inner", [3, 4, 5, 8, 9, 12, 20, 100])
+    def test_skipped_powers_leave_every_bit(self, inner):
+        assert_skipped_powers_leave_every_bit(inner)
+
+    @pytest.mark.parametrize(
+        "grid, rows",
+        [(GRID2, 7), (GridSpec(2, 1, 40, 8.0), 3), (GridSpec(1, 2, 40, 8.0), 3)],
+        ids=["(1,1)", "(2,1)", "(1,2)"],
+    )
+    @pytest.mark.parametrize("inner", ["inf", 1, "3/2", 2, 4, 20])
+    def test_every_stage_equals_the_whole_array_reduction(self, grid, rows, inner, monkeypatch):
+        """Ragged blocks (256 = 36·7 + 4 and 40 = 13·3 + 1 rows), both
+        orientations, and the spectrum miss that fills both groups. On the
+        (2, 1) grid the leading layer reduces axes (0, 1) together."""
+        e = as_exponent(inner)
+        rng = np.random.default_rng(8)
+        phases = np.exp(2j * np.pi * rng.random(grid.shape))
+        values = gaussian_product(grid, [1.0] * grid.ndim).values * phases
+        monkeypatch.setattr(mixed_norms, "_BLOCK_BYTES", rows * values[0].nbytes)
+        for spectrum, norm in ((False, mixed_norm), (True, spectrum_norm)):
+            for orient in (MixedNormSpec.standard, MixedNormSpec.reversed):
+                F = on_grid(grid, values)
+                spec = orient("4/3", inner)
+                norm(F, spec)
+                G = fourier(F) if spectrum else F
+                for group in (0, 1) if spectrum else (spec.inner_group,):
+                    axes = G.group_axes(group)
+                    weight = G.group_spacing(group) ** len(axes)
+                    expected = whole_array_stage(G.values, axes, weight, float(e))
+                    assert np.array_equal(F._reductions[(spectrum, group, e)], expected)
+
+    def test_a_nan_in_a_later_block_skips_nothing(self, monkeypatch):
+        """The skip floor comes from the whole array's maximum, so a NaN in
+        any block keeps row 0's tiny powers as a single block would."""
+        values = np.full((4, 8), 1e-80, dtype=complex)
+        values[1] = 1.0
+        values[3, 0] = np.nan
+        monkeypatch.setattr(mixed_norms, "_BLOCK_BYTES", 2 * values[0].nbytes)
+        stage = mixed_norms._inner_stages(values, [((1,), 1.0)], as_exponent(4))[0]
+        assert np.array_equal(stage, whole_array_stage(values, (1,), 1.0, 4.0), equal_nan=True)
+        assert stage[0] > 0.0
+
+    def test_a_miss_holds_under_half_an_array(self):
+        grid = GridSpec.default(n=1024)
+        F = random_ensemble(grid, 6, seed=7)
+        spec = MixedNormSpec.standard("4/3", 3)
+        mixed_norm(random_ensemble(GRID2, 6, seed=7), spec)  # warm-up: first-call caches
+        tracemalloc.start()
+        try:
+            mixed_norm(F, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * F.values.nbytes
+        expected = whole_array_stage(F.values, (1,), grid.spacing, 3.0)
+        assert np.array_equal(F._reductions[(False, 1, as_exponent(3))], expected)
 
 
 class TestPlainNorm:

@@ -52,6 +52,8 @@ INVOCATIONS: list[list[str]] = [
     # artifacts written to files
     ["verify", "variant", "--p", "4/3", "--s", "3/2", "--trials", "3", "--out", "variant.jsonl"],
     ["sweep", "necessity", "--r", "inf", "--out", "necessity.csv"],
+    # a grid of several reduction blocks, with a spectrum miss that fills both groups
+    ["verify", "variant", "--p", "4/3", "--s", "3/2", "--grid-n", "1024", "--trials", "2"],
     # every flag of every target, defaults spelled out where another value costs more
     *(
         ["verify", inequality, *exponents, "--d1", "1", *d2, "--grid-n", "192", "--grid-l", "16",
