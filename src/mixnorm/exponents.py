@@ -5,6 +5,11 @@ Exponents live in [1, inf] and are stored through their reciprocals in
 ``1/a + 1/a' = 1`` is closed under the arithmetic. Every reciprocal is an
 exact ``Fraction``: a float input becomes the rational it represents
 exactly, so the exponent relations are decided without any tolerance.
+
+An ``Exponent`` is immutable, so what is derived from its reciprocal (its
+float, hash, string, conjugate and sharp constant) is computed once per
+instance, on first use, and kept; an ``ExponentTuple`` likewise decides
+its admissibility once. Equal exponents derive equal values.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ ExponentLike = Union["Exponent", int, float, str, Fraction]
 class Exponent:
     """A Lebesgue exponent in [1, inf], held through its reciprocal."""
 
-    __slots__ = ("_recip",)
+    # Every slot but _recip is a cache, filled on first use.
+    __slots__ = ("_recip", "_float", "_hash", "_str", "_conjugate", "_beckner")
 
     def __init__(self, value: ExponentLike):
         if isinstance(value, Exponent):
@@ -81,10 +87,18 @@ class Exponent:
 
     def conjugate(self) -> "Exponent":
         """The exponent a' with 1/a + 1/a' = 1 (conjugate of 1 is inf)."""
-        return Exponent.from_reciprocal(1 - self._recip)
+        try:
+            return self._conjugate
+        except AttributeError:
+            self._conjugate = Exponent.from_reciprocal(1 - self._recip)
+            return self._conjugate
 
     def __float__(self) -> float:
-        return float(self.value)
+        try:
+            return self._float
+        except AttributeError:
+            self._float = float(self.value)
+            return self._float
 
     # Exponents compare only with exponents: a number equal to one would
     # need its hash, and 0.5 or "abc" is no exponent at all.
@@ -94,7 +108,11 @@ class Exponent:
         return self._recip == other._recip
 
     def __hash__(self) -> int:
-        return hash(self._recip)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._recip)
+            return self._hash
 
     # Reciprocals reverse the order: larger exponent, smaller reciprocal.
     def __lt__(self, other) -> bool:
@@ -103,7 +121,11 @@ class Exponent:
         return self._recip > other._recip
 
     def __str__(self) -> str:
-        return "inf" if self._recip == 0 else str(self.value)
+        try:
+            return self._str
+        except AttributeError:
+            self._str = "inf" if self._recip == 0 else str(self.value)
+            return self._str
 
     def __repr__(self) -> str:
         return f"Exponent({str(self)!r})"
@@ -133,7 +155,23 @@ class ExponentTuple:
             object.__setattr__(self, name, as_exponent(getattr(self, name)))
 
     def as_dict(self) -> dict[str, str]:
+        """The exponents as strings, keyed by role: one dict per tuple, built
+        on first use and shared by every report made under the tuple."""
+        return self._strings
+
+    @functools.cached_property
+    def _strings(self) -> dict[str, str]:
         return {name: str(getattr(self, name)) for name in ("p", "s", "q", "t", "r")}
+
+    @functools.cached_property
+    def _verdict(self) -> "Admissibility":
+        if self.s.reciprocal + self.t.reciprocal != 1:
+            return Admissibility(False, "s-t-relation")
+        if self.r.reciprocal != 1 - self.p.reciprocal - self.q.reciprocal:
+            return Admissibility(False, "r-relation")
+        if self.r.reciprocal > Fraction(1, 2):
+            return Admissibility(False, "r-range")
+        return Admissibility(True, None)
 
     def __str__(self) -> str:
         return "(p={p}, s={s}, q={q}, t={t}, r={r})".format(**self.as_dict())
@@ -161,16 +199,10 @@ def admissible(exponents: ExponentTuple) -> Admissibility:
 
     Checks, in order: 1/s + 1/t = 1 ("s-t-relation"), then
     1/r = 1 - 1/p - 1/q ("r-relation"), then r >= 2 ("r-range").
-    The reason names the first violated relation.
+    The reason names the first violated relation. A tuple is decided
+    once; later calls return the kept verdict.
     """
-    e = exponents
-    if e.s.reciprocal + e.t.reciprocal != 1:
-        return Admissibility(False, "s-t-relation")
-    if e.r.reciprocal != 1 - e.p.reciprocal - e.q.reciprocal:
-        return Admissibility(False, "r-relation")
-    if e.r.reciprocal > Fraction(1, 2):
-        return Admissibility(False, "r-range")
-    return Admissibility(True, None)
+    return exponents._verdict
 
 
 def beckner_constant(r: ExponentLike) -> float:
@@ -179,17 +211,24 @@ def beckner_constant(r: ExponentLike) -> float:
     Equals ``r**(1/2r) * (r')**(-1/2r')`` with ``r'`` the conjugate
     exponent; Gaussians attain it. The value is below 1 strictly inside
     (1, 2) and exactly 1 at both endpoints, which are returned in closed
-    form to avoid evaluating the limit expressions.
+    form to avoid evaluating the limit expressions. The exponent keeps the
+    value after its first call.
     """
     e = as_exponent(r)
+    try:
+        return e._beckner
+    except AttributeError:
+        pass
     recip = e.reciprocal
     if not Fraction(1, 2) <= recip <= 1:
         raise ValueError(f"sharp constant is defined for exponents in [1, 2], got {e}")
     if recip == 1 or recip == Fraction(1, 2):
-        return 1.0
-    rv = float(e.value)
-    tv = rv / (rv - 1.0)
-    return rv ** (1.0 / (2.0 * rv)) * tv ** (-1.0 / (2.0 * tv))
+        e._beckner = 1.0
+    else:
+        rv = float(e)
+        tv = rv / (rv - 1.0)
+        e._beckner = rv ** (1.0 / (2.0 * rv)) * tv ** (-1.0 / (2.0 * tv))
+    return e._beckner
 
 
 def beckner_power(r: ExponentLike, dims: int) -> float:

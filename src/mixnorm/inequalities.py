@@ -52,8 +52,8 @@ INEQUALITY_IDS = ("restriction", "bilinear", "variant", "same_order", "hausdorff
 
 SUITE_TOL = 1e-2
 
+_HALF = Fraction(1, 2)
 _ONE = Exponent(1)
-_TWO = Exponent(2)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _build_report(
 
 
 def _require_range(e: Exponent, name: str) -> None:
-    if not (_ONE <= e <= _TWO):
+    if not _HALF <= e.reciprocal <= 1:  # 1 <= e <= 2
         raise ValueError(f"{name} must lie in [1, 2], got {e}")
 
 
@@ -122,7 +122,7 @@ def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     p = as_exponent(p)
     _require_range(p, "p")
     lhs = slice_norm(F, p.conjugate())
-    bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, 1))
+    bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, _ONE))
     return _build_report("restriction", lhs, bound, {"p": str(p)}, {"F": F.descriptor})
 
 
@@ -248,9 +248,16 @@ def run_suite(
     (cyclically; a lone function pairs with itself) and evaluated under
     every tuple in ``exponent_tuples``. Reports come back tuple-major:
     every pair under the first tuple, then every pair under the next.
+
+    The ``p`` and ``s`` that the inequality reads become ``Exponent``s once
+    per call, so every check shares their conjugates, constants and strings.
     """
     if inequality_id not in INEQUALITY_IDS:
         raise ValueError(f"unknown inequality {inequality_id!r}; pick from {INEQUALITY_IDS}")
+    if p is not None and inequality_id != "bilinear":
+        p = as_exponent(p)
+    if s is not None and inequality_id in ("variant", "same_order"):
+        s = as_exponent(s)
     if inequality_id == "bilinear":
         reports = _bilinear_suite(iter(functions), exponent_tuples)
     else:

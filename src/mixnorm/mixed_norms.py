@@ -154,14 +154,15 @@ def _memo_norm(F: SampledFunction, spec: MixedNormSpec, spectrum: bool) -> float
     if F.grid.d2 == 0:
         raise ValueError("mixed norms need both axis groups; use plain_norm instead")
     key = (spectrum, spec.inner_group, spec.inner_exponent)
-    if key not in F._reductions:
+    stage = F._reductions.get(key)
+    if stage is None:
         G = fourier(F) if spectrum else F
         groups = (0, 1) if spectrum else (spec.inner_group,)
         layers = [(G.group_axes(g), G.group_spacing(g) ** len(G.group_axes(g))) for g in groups]
         stages = _inner_stages(G.values, layers, spec.inner_exponent)
         for group, stage in zip(groups, stages):
             F._reductions[(spectrum, group, spec.inner_exponent)] = stage
-    stage = F._reductions[key]
+        stage = F._reductions[key]
 
     # The inner reduction only removes trailing or leading group axes,
     # so the surviving axes are exactly the outer group's.
@@ -184,12 +185,12 @@ def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
     weight = 1.0
     for group in range(len(F.side)):
         weight *= F.group_spacing(group) ** len(F.group_axes(group))
-    return _magnitude_norm(np.abs(F.values), weight, a)
+    return _magnitude_norm(np.abs(F.values), weight, as_exponent(a))
 
 
-def _magnitude_norm(magnitude: np.ndarray, weight: float, a: ExponentLike) -> float:
+def _magnitude_norm(magnitude: np.ndarray, weight: float, a: Exponent) -> float:
     """The L^a norm over every axis of an array of magnitudes with cell weight ``weight``."""
-    a = float(as_exponent(a))
+    a = float(a)
     if a == math.inf:
         return float(magnitude.max())
     if a == 1.0:  # x**1.0 == x, but NumPy still makes a full pass for it
@@ -221,7 +222,7 @@ def slice_norm(
         except NonFiniteValues:
             return math.inf
         F._reductions[key] = magnitude
-    return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, a)
+    return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, as_exponent(a))
 
 
 class MinkowskiComparison(NamedTuple):

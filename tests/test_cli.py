@@ -1,5 +1,7 @@
 """Command-line plumbing: exit codes, artifact shapes, determinism."""
 
+import functools
+import gc
 import json
 import math
 import os
@@ -37,6 +39,22 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def verify_peak(tmp_path, inequality, trials):
+    """The tracemalloc peak of one ``verify`` run writing its artifact. The
+    cyclic collector is off during the run, so the peak does not depend on
+    when it would have run (the argparse parsers form cycles)."""
+    argv = ["verify", inequality, "--trials", str(trials), "--out", str(tmp_path / "a")]
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 class TestConstants:
@@ -131,19 +149,19 @@ class TestVerify:
         eight trials peak within one trial array of three. (Bilinear keeps
         the first trial for the closing pair; from three trials on that is
         a third array, at two it is the partner itself.)"""
-
-        def peak(trials):
-            argv = ["verify", inequality, "--trials", str(trials), "--out", str(tmp_path / "a")]
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        peak = functools.partial(verify_peak, tmp_path, inequality)
         peak(1)  # warm-up: first-call allocations are not the suite's
         trial_array = 16 * GRID2.n**2
         assert peak(8) - peak(3) < trial_array
+
+    def test_bilinear_reports_grow_under_8_kib_per_trial(self, tmp_path):
+        """A trial adds ten reports, one per tuple. They share each tuple's
+        exponents dict and each function's descriptor, so what grows is the
+        reports themselves and the artifact text: about 7 KiB per trial,
+        against 11 KiB when each report built its own dict and strings."""
+        peak = functools.partial(verify_peak, tmp_path, "bilinear")
+        peak(1)
+        assert (peak(13) - peak(3)) / 10 <= 8 * 1024
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,6 +1,8 @@
 """Exponent arithmetic, admissibility gates, and the sharp constants."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,31 @@ from mixnorm.exponents import (
 )
 
 rationals = st.fractions(min_value=1, max_value=1000, max_denominator=64)
+#: Reciprocals of exponents in [1, inf]; 0 is the exponent inf.
+reciprocals = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+def derived(e: Exponent) -> tuple:
+    """Every value an exponent keeps after first use, floats as their bits."""
+    values = (float(e).hex(), hash(e), str(e), e.conjugate().reciprocal)
+    if Exponent(1) <= e <= Exponent(2):
+        values += (beckner_constant(e).hex(),)
+    return values
+
+
+def derived_directly(recip: Fraction) -> tuple:
+    """The same values from the reciprocal alone, with no cache in play."""
+    value = math.inf if recip == 0 else 1 / recip
+    values = (float(value).hex(), hash(recip), "inf" if recip == 0 else str(value), 1 - recip)
+    if Fraction(1, 2) <= recip <= 1:
+        if recip in (1, Fraction(1, 2)):
+            constant = 1.0
+        else:
+            rv = float(value)
+            tv = rv / (rv - 1.0)
+            constant = rv ** (1.0 / (2.0 * rv)) * tv ** (-1.0 / (2.0 * tv))
+        values += (constant.hex(),)
+    return values
 
 
 class TestExponent:
@@ -95,6 +122,39 @@ class TestExponent:
         assert float(Exponent(x)) == x
 
 
+class TestKeptValues:
+    """An exponent keeps its float, hash, string, conjugate and sharp
+    constant after first use; kept values equal fresh ones bit for bit."""
+
+    @given(reciprocals)
+    def test_kept_values_match_a_direct_derivation(self, recip):
+        e = Exponent.from_reciprocal(recip)
+        expected = derived_directly(recip)
+        assert derived(e) == expected  # first use derives
+        assert derived(e) == expected  # later uses read what was kept
+        assert e.conjugate() is e.conjugate()
+
+    @given(reciprocals)
+    def test_pickle_and_deepcopy_keep_equality_and_hash(self, recip):
+        e = Exponent.from_reciprocal(recip)
+        for _ in range(2):  # before any value is kept, then with all of them
+            for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+                assert twin == e and hash(twin) == hash(e)
+                assert derived(twin) == derived_directly(recip)
+            derived(e)
+
+    @given(reciprocals)
+    def test_text_and_fraction_inputs_agree_on_every_kept_value(self, recip):
+        if recip == 0:
+            forms = [Exponent("inf"), Exponent(math.inf)]
+        else:
+            forms = [Exponent(str(1 / recip)), Exponent(1 / recip)]
+        assert derived(forms[0]) == derived(forms[1]) == derived_directly(recip)
+
+    def test_four_thirds_in_both_spellings(self):
+        assert derived(Exponent("4/3")) == derived(Exponent(Fraction(4, 3)))
+
+
 class TestAdmissibility:
     def test_canonical_tuple_passes(self):
         verdict = admissible(ExponentTuple(4, 2, 4, 2, 2))
@@ -120,6 +180,10 @@ class TestAdmissibility:
         verdict = admissible(ExponentTuple(2, 2, 2, 2, 2))
         assert isinstance(verdict, Admissibility)
         assert not verdict
+
+    def test_a_tuple_is_decided_once(self):
+        exps = ExponentTuple(4, 2, 4, 2, 2)
+        assert admissible(exps) is admissible(exps)
 
     def test_inadmissible_error_carries_reason(self):
         error = InadmissibleExponents("r-relation", ExponentTuple(2, 2, 2, 2, 2))

@@ -152,6 +152,9 @@ class TestStreamingSuite:
         assert [r.descriptors["exponents"] for r in reports[::count]] == [
             exps.as_dict() for exps in tuples
         ]
+        # one exponents dict per tuple, shared by its reports
+        for index, report in enumerate(reports):
+            assert report.descriptors["exponents"] is tuples[index // count].as_dict()
 
     ONE_OF_EACH = [
         ("restriction", {"p": 2}),

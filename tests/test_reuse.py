@@ -14,17 +14,20 @@ import numpy as np
 import pytest
 
 from mixnorm import mixed_norms, sweeps
-from mixnorm.exponents import ExponentTuple, as_exponent, beckner_power
+from mixnorm.exponents import Exponent, ExponentTuple, as_exponent, beckner_power
 from mixnorm.gaussians import SeparableSum
 from mixnorm.grids import FREQUENCY, GridSpec, SampledFunction
 from mixnorm.inequalities import (
+    INEQUALITY_IDS,
     check_bilinear,
     check_hausdorff_young,
     check_restriction,
     check_same_order,
     check_variant,
+    ensemble_stream,
     ensemble_trials,
     random_admissible_tuples,
+    run_suite,
 )
 from mixnorm.mixed_norms import MixedNormSpec, mixed_norm, plain_norm
 from mixnorm.transform import fourier, slice_second_zero
@@ -339,3 +342,44 @@ class TestTracerView:
         t_values = (1.0, 0.5)
         sweeps.blowup_sweep(2, "4/3", t_values)
         assert len(shear_calls) == len(t_values) and len(grid_calls) == len(lambdas)
+
+
+class CountingSlot:
+    """Stands in for one of ``Exponent``'s kept-value slots and counts the
+    values stored into it, one per derivation."""
+
+    def __init__(self, slot):
+        self.slot, self.stores = slot, 0
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else self.slot.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.stores += 1
+        self.slot.__set__(obj, value)
+
+
+class TestExponentDerivations:
+    """``run_suite`` derives each exponent's float, hash, string, conjugate
+    and sharp constant once per call, however many functions it checks."""
+
+    KEPT = ("_float", "_hash", "_str", "_conjugate", "_beckner")
+
+    def derivations(self, monkeypatch, inequality, count):
+        grid = GridSpec.default(d2=0) if inequality == "hausdorff_young" else GRID
+        kwargs = {"p": "4/3", "s": "3/2"}
+        if inequality == "bilinear":
+            kwargs = {"exponent_tuples": random_admissible_tuples(2, 77)}
+        slots = {name: CountingSlot(Exponent.__dict__[name]) for name in self.KEPT}
+        with monkeypatch.context() as patch:
+            for name, slot in slots.items():
+                patch.setattr(Exponent, name, slot)
+            run_suite(inequality, ensemble_stream(grid, count, 500), **kwargs)
+        return {name: slot.stores for name, slot in slots.items()}
+
+    @pytest.mark.parametrize("inequality", INEQUALITY_IDS)
+    def test_count_does_not_grow_with_the_trials(self, monkeypatch, inequality):
+        self.derivations(monkeypatch, inequality, 1)  # module constants keep theirs
+        few = self.derivations(monkeypatch, inequality, 4)
+        assert min(few["_str"], few["_conjugate"], few["_beckner"]) > 0
+        assert self.derivations(monkeypatch, inequality, 40) == few
