@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -34,17 +35,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
-from .exponents import (
-    ExponentTuple,
-    InadmissibleExponents,
-    admissible,
-    as_exponent,
-    beckner_constant,
-    beckner_power,
-)
+from .exponents import ExponentTuple, as_exponent, beckner_constant, beckner_power
 from .grids import GridSpec
-from .inequalities import ensemble_stream, random_admissible_tuples, run_suite
-from .sampling import GenerationError
+from .inequalities import INEQUALITIES, ensemble_stream, random_admissible_tuples, run_suite
 from .sweeps import SweepReport, blowup_sweep, delta_divergence_demo, necessity_sweep
 
 __all__ = ["main", "entry"]
@@ -78,22 +71,23 @@ class _Target(NamedTuple):
 
 
 _SUITE = ("d1", "d2", "grid-n", "grid-l", "trials", "seed")
-_ALL_TWO = dict.fromkeys("psqtr", "2")
 
-#: Every target by subcommand. Hausdorff-Young checks functions of one
-#: coordinate group, so its grid has d2 = 0.
+#: Every target by subcommand. The ``verify`` targets are the inequalities
+#: of ``INEQUALITIES``, each exponent defaulting to 2; one whose functions
+#: have a single coordinate group fixes d2 = 0 in place of its flag.
 _TARGETS = {
     "verify": {
-        "restriction": _Target({"p": "2"}, _SUITE),
-        "hausdorff-young": _Target({"p": "2"}, ("d1", *_SUITE[2:]), {"d2": 0}),
-        "variant": _Target({"p": "2", "s": "2"}, _SUITE),
-        "same-order": _Target({"p": "2", "s": "2"}, _SUITE),
-        "bilinear": _Target(_ALL_TWO, _SUITE),
+        inequality_id.replace("_", "-"): _Target(
+            dict.fromkeys(entry.exponents, "2"),
+            tuple(flag for flag in _SUITE if not (entry.one_group and flag == "d2")),
+            {"d2": 0} if entry.one_group else {},
+        )
+        for inequality_id, entry in INEQUALITIES.items()
     },
     "sweep": {
         "blowup": _Target({"p": "2", "s": "4/3"}),
         "delta": _Target({"p": "2"}, ("grid-n", "grid-l")),
-        "necessity": _Target(_ALL_TWO, ("grid-n", "grid-l")),
+        "necessity": _Target(dict.fromkeys("psqtr", "2"), ("grid-n", "grid-l")),
     },
 }
 
@@ -109,7 +103,9 @@ class _SubcommandParser(argparse.ArgumentParser):
         return namespace, unread
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mixnorm",
         description="Numerical checks for mixed-norm Fourier inequalities.",
@@ -151,17 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _echo(args) -> dict:
     """Every parsed value, with the exponent flags resolved into one
-    ``exponents`` dict: defaults filled in, in lowest terms, or ``{}`` for
-    a bilinear run that draws random tuples."""
+    ``exponents`` dict: defaults filled in, in lowest terms."""
     defaults = _TARGETS[args.command][args.target].exponents
     echo = {key: value for key, value in vars(args).items() if key not in defaults}
-    given = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
-    if args.target == "bilinear" and not given:
-        echo["exponents"] = {}
-    else:
-        echo["exponents"] = {
-            name: str(as_exponent(given.get(name, default))) for name, default in defaults.items()
-        }
+    echo["exponents"] = {
+        name: str(as_exponent(default if getattr(args, name) is None else getattr(args, name)))
+        for name, default in defaults.items()
+    }
     return echo
 
 
@@ -220,20 +212,16 @@ def _cmd_constants(args) -> int:
 def _cmd_verify(args) -> int:
     config = _echo(args)
     inequality = args.target.replace("-", "_")
-    exponents = config["exponents"]
-    tuples = None
-    if inequality == "bilinear":
-        if exponents:
-            exps = ExponentTuple(**exponents)
-            verdict = admissible(exps)
-            if not verdict:
-                raise InadmissibleExponents(verdict.reason, exps)
-            tuples = [exps]
-        else:
-            tuples = random_admissible_tuples(10, args.seed)
+    selection = config["exponents"]
+    if INEQUALITIES[inequality].pairs:
+        if any(getattr(args, name) is not None for name in selection):
+            selection = {"exponent_tuples": [ExponentTuple(**selection)]}
+        else:  # no exponent given: ten random tuples, echoed as {}
+            config["exponents"] = {}
+            selection = {"exponent_tuples": random_admissible_tuples(10, args.seed)}
     grid = GridSpec(args.d1, args.d2, args.n, args.extent)
     functions = ensemble_stream(grid, args.trials, args.seed)
-    reports = run_suite(inequality, functions, exponents.get("p"), exponents.get("s"), tuples)
+    reports = run_suite(inequality, functions, **selection)
     failures = sum(not r.degenerate and not r.passed for r in reports)
     degenerate = sum(r.degenerate for r in reports)
     summary = {"summary": {"trials": len(reports), "failures": failures, "degenerate": degenerate}}
@@ -312,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_sweep(args)
-    except (InadmissibleExponents, GenerationError, ValueError) as error:
+    except ValueError as error:  # inadmissible exponents and sampling errors among them
         print(f"error: {error}", file=sys.stderr)
         return 2
 

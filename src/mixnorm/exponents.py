@@ -130,6 +130,10 @@ class Exponent:
     def __repr__(self) -> str:
         return f"Exponent({str(self)!r})"
 
+    # Rebuilt from the reciprocal alone, under every pickle protocol.
+    def __reduce__(self):
+        return (Exponent.from_reciprocal, (self._recip,))
+
 
 def as_exponent(x: ExponentLike) -> Exponent:
     return x if isinstance(x, Exponent) else Exponent(x)

@@ -1,5 +1,8 @@
 """Ratio harnesses for the mixed-norm Fourier inequalities.
 
+One table, ``INEQUALITIES``, describes each inequality's selections;
+``INEQUALITY_IDS``, ``run_suite`` and the ``verify`` targets read it.
+
 Each check evaluates one inequality as lhs / bound on a concrete sampled
 function and wraps the outcome in a ``RatioReport``. A report passes
 exactly when the ratio is at most 1 + ``SUITE_TOL``, the discretization
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .transform import fourier  # noqa: F401
 
 __all__ = [
     "RatioReport",
+    "INEQUALITIES",
     "INEQUALITY_IDS",
     "SUITE_TOL",
     "check_restriction",
@@ -42,13 +46,34 @@ __all__ = [
     "check_variant",
     "check_same_order",
     "check_hausdorff_young",
+    "bilinear_sides",
     "random_admissible_tuples",
     "ensemble_trials",
     "ensemble_stream",
     "run_suite",
 ]
 
-INEQUALITY_IDS = ("restriction", "bilinear", "variant", "same_order", "hausdorff_young")
+class _Inequality(NamedTuple):
+    """The exponents a selection sets (all five: an ``ExponentTuple``, checked
+    on pairs of functions), and whether its functions have one group (d2 = 0)."""
+
+    exponents: tuple[str, ...]
+    one_group: bool = False
+
+    @property
+    def pairs(self) -> bool:
+        return len(self.exponents) == 5
+
+
+INEQUALITIES = {
+    "restriction": _Inequality(("p",)),
+    "bilinear": _Inequality(("p", "s", "q", "t", "r")),
+    "variant": _Inequality(("p", "s")),
+    "same_order": _Inequality(("p", "s")),
+    "hausdorff_young": _Inequality(("p",), one_group=True),
+}
+
+INEQUALITY_IDS = tuple(INEQUALITIES)
 
 SUITE_TOL = 1e-2
 
@@ -82,11 +107,7 @@ class RatioReport:
 
 
 def _build_report(
-    inequality_id: str,
-    lhs: float,
-    bound: float,
-    exponents: dict,
-    functions: dict,
+    inequality_id: str, lhs: float, bound: float, exponents: dict, functions: dict
 ) -> RatioReport:
     descriptors = {"exponents": exponents, "functions": functions}
     if bound <= 0.0 or not math.isfinite(bound) or not math.isfinite(lhs):
@@ -97,20 +118,59 @@ def _build_report(
     )
 
 
-def _require_range(e: Exponent, name: str) -> None:
-    if not _HALF <= e.reciprocal <= 1:  # 1 <= e <= 2
-        raise ValueError(f"{name} must lie in [1, 2], got {e}")
+def _selections(inequality_id: str, p=None, s=None, exponent_tuples=None) -> list[tuple]:
+    """The exponent arguments of each check a selection makes, checked:
+    a pairs selection's tuples are admissible; otherwise the exponents lie
+    in [1, 2], and same-order's p is at most s."""
+    entry = INEQUALITIES.get(inequality_id)
+    if entry is None:
+        raise ValueError(f"unknown inequality {inequality_id!r}; pick from {INEQUALITY_IDS}")
+    if entry.pairs:
+        if not exponent_tuples:
+            raise ValueError(f"the {inequality_id} suite needs exponent tuples")
+        for exponents in exponent_tuples:
+            verdict = admissible(exponents)
+            if not verdict:
+                raise InadmissibleExponents(verdict.reason, exponents)
+        return [(exponents,) for exponents in exponent_tuples]
+    exponents = tuple(as_exponent(e) for e in (p, s)[: len(entry.exponents)])
+    for name, e in zip(entry.exponents, exponents):
+        if not _HALF <= e.reciprocal <= 1:  # 1 <= e <= 2
+            raise ValueError(f"{name} must lie in [1, 2], got {e}")
+    if inequality_id == "same_order" and exponents[0] > exponents[1]:
+        raise ValueError(
+            f"p = {exponents[0]} exceeds s = {exponents[1]}; the same-order bound fails "
+            "there (see the blowup sweep)"
+        )
+    return [exponents]
 
 
-def _transform_bound(F: SampledFunction, p: Exponent, s: Exponent) -> float:
-    """C_p^{d1} C_s^{d2} times the (p, s) mixed norm of F, shared by the
-    variant and same-order bounds."""
-    d = F.grid
-    return (
-        beckner_power(p, d.d1)
-        * beckner_power(s, d.d2)
-        * mixed_norm(F, MixedNormSpec.standard(p, s))
-    )
+def _slice_check(inequality_id: str, F: SampledFunction, p: ExponentLike) -> RatioReport:
+    """Restriction, or Hausdorff-Young on one group, where the slice is
+    all of F-hat and the (p, 1) norm is the L^p norm."""
+    [(p,)] = _selections(inequality_id, p)
+    one_group = INEQUALITIES[inequality_id].one_group
+    if one_group and F.grid.d2 != 0:  # mixed_norm rejects a one-group restriction
+        raise ValueError(f"{inequality_id} applies to one-group functions")
+    lhs = slice_norm(F, p.conjugate())
+    norm = plain_norm(F, p) if one_group else mixed_norm(F, MixedNormSpec.standard(p, _ONE))
+    bound = beckner_power(p, F.grid.d1) * norm
+    functions = {"f" if one_group else "F": F.descriptor}
+    return _build_report(inequality_id, lhs, bound, {"p": str(p)}, functions)
+
+
+def _spectrum_check(inequality_id: str, F: SampledFunction, p, s, inner_group: int) -> RatioReport:
+    """The mixed norm of F-hat with p' on the first group and s' on the
+    second, inner norm over ``inner_group``, against C_p^{d1} C_s^{d2}
+    times the (p, s) mixed norm of F: variant (0) or same-order (1)."""
+    [(p, s)] = _selections(inequality_id, p, s)
+    conjugates = (p.conjugate(), s.conjugate())
+    lhs_spec = MixedNormSpec(conjugates[1 - inner_group], inner_group, conjugates[inner_group])
+    lhs = spectrum_norm(F, lhs_spec)
+    bound = beckner_power(p, F.grid.d1) * beckner_power(s, F.grid.d2)
+    bound *= mixed_norm(F, MixedNormSpec.standard(p, s))
+    exponents = {"p": str(p), "s": str(s)}
+    return _build_report(inequality_id, lhs, bound, exponents, {"F": F.descriptor})
 
 
 def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
@@ -119,45 +179,34 @@ def check_restriction(F: SampledFunction, p: ExponentLike) -> RatioReport:
     lhs is the p'-norm of F-hat on the slice xi'' = 0; the bound is
     C_p^{d1} times the mixed (p, 1) norm of F.
     """
-    p = as_exponent(p)
-    _require_range(p, "p")
-    lhs = slice_norm(F, p.conjugate())
-    bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, _ONE))
-    return _build_report("restriction", lhs, bound, {"p": str(p)}, {"F": F.descriptor})
+    return _slice_check("restriction", F, p)
 
 
-def check_bilinear(
-    F: SampledFunction, G: SampledFunction, exponents: ExponentTuple
-) -> RatioReport:
-    """Bilinear restriction of a product F·G under an admissible tuple."""
-    verdict = admissible(exponents)
-    if not verdict:
-        raise InadmissibleExponents(verdict.reason, exponents)
+def bilinear_sides(F: SampledFunction, G: SampledFunction, exponents: ExponentTuple) -> tuple:
+    """The left side and bound of the bilinear inequality for F·G, with no
+    admissibility gate: the r-norm of (F·G)-hat on the slice xi'' = 0, and
+    C_{r'}^{d1} times the (p, s) norm of F and the (q, t) norm of G. The
+    constant needs r >= 2."""
     if F.grid != G.grid or F.side != G.side:
         raise ValueError("factors must share a grid and side")
     lhs = slice_norm(F, exponents.r, G)
-    bound = (
-        beckner_power(exponents.r.conjugate(), F.grid.d1)
-        * mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s))
-        * mixed_norm(G, MixedNormSpec.standard(exponents.q, exponents.t))
-    )
-    return _build_report(
-        "bilinear",
-        lhs,
-        bound,
-        exponents.as_dict(),
-        {"F": F.descriptor, "G": G.descriptor},
-    )
+    bound = beckner_power(exponents.r.conjugate(), F.grid.d1)
+    bound *= mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s))
+    bound *= mixed_norm(G, MixedNormSpec.standard(exponents.q, exponents.t))
+    return lhs, bound
+
+
+def check_bilinear(F: SampledFunction, G: SampledFunction, exponents: ExponentTuple) -> RatioReport:
+    """Bilinear restriction of a product F·G under an admissible tuple."""
+    _selections("bilinear", exponent_tuples=[exponents])
+    lhs, bound = bilinear_sides(F, G, exponents)
+    functions = {"F": F.descriptor, "G": G.descriptor}
+    return _build_report("bilinear", lhs, bound, exponents.as_dict(), functions)
 
 
 def check_variant(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> RatioReport:
     """Reversed-order transform bound: L^{s'} over xi'' outside L^{p'} over xi'."""
-    p, s = as_exponent(p), as_exponent(s)
-    _require_range(p, "p")
-    _require_range(s, "s")
-    lhs = spectrum_norm(F, MixedNormSpec.reversed(s.conjugate(), p.conjugate()))
-    bound = _transform_bound(F, p, s)
-    return _build_report("variant", lhs, bound, {"p": str(p), "s": str(s)}, {"F": F.descriptor})
+    return _spectrum_check("variant", F, p, s, inner_group=0)
 
 
 def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> RatioReport:
@@ -166,28 +215,12 @@ def check_same_order(F: SampledFunction, p: ExponentLike, s: ExponentLike) -> Ra
     The regime p > s is exactly where the inequality fails; those
     exponents are rejected here and exercised by the sweep module.
     """
-    p, s = as_exponent(p), as_exponent(s)
-    _require_range(p, "p")
-    _require_range(s, "s")
-    if p > s:
-        raise ValueError(
-            f"p = {p} exceeds s = {s}; the same-order bound fails there "
-            "(see the blowup sweep)"
-        )
-    lhs = spectrum_norm(F, MixedNormSpec.standard(p.conjugate(), s.conjugate()))
-    bound = _transform_bound(F, p, s)
-    return _build_report("same_order", lhs, bound, {"p": str(p), "s": str(s)}, {"F": F.descriptor})
+    return _spectrum_check("same_order", F, p, s, inner_group=1)
 
 
 def check_hausdorff_young(f: SampledFunction, p: ExponentLike) -> RatioReport:
     """Plain sharp Hausdorff-Young on a one-group function."""
-    p = as_exponent(p)
-    _require_range(p, "p")
-    if f.grid.d2 != 0:
-        raise ValueError("hausdorff_young applies to one-group functions")
-    lhs = slice_norm(f, p.conjugate())
-    bound = beckner_power(p, f.grid.d1) * plain_norm(f, p)
-    return _build_report("hausdorff_young", lhs, bound, {"p": str(p)}, {"f": f.descriptor})
+    return _slice_check("hausdorff_young", f, p)
 
 
 def random_admissible_tuples(count: int, seed: int) -> list[ExponentTuple]:
@@ -240,61 +273,39 @@ def run_suite(
 ) -> list[RatioReport]:
     """Evaluate one inequality on every supplied function.
 
+    The selection, ``p`` (and ``s``) or the bilinear ``exponent_tuples``
+    as the ``INEQUALITIES`` entry names, is converted and checked once,
+    before the first function is drawn; every check shares its exponents.
+
     ``functions`` is iterated once, and each function is checked as it
     arrives and released before the next is drawn, so a generator keeps
-    the suite's arrays to one trial (three for bilinear).
-
-    For the bilinear check each function is paired with its successor
-    (cyclically; a lone function pairs with itself) and evaluated under
-    every tuple in ``exponent_tuples``. Reports come back tuple-major:
-    every pair under the first tuple, then every pair under the next.
-
-    The ``p`` and ``s`` that the inequality reads become ``Exponent``s once
-    per call, so every check shares their conjugates, constants and strings.
+    the suite's arrays to one trial (three for bilinear). A bilinear trial
+    is a function and its successor, cyclically, under every tuple; the
+    reports come back tuple-major.
     """
-    if inequality_id not in INEQUALITY_IDS:
-        raise ValueError(f"unknown inequality {inequality_id!r}; pick from {INEQUALITY_IDS}")
-    if p is not None and inequality_id != "bilinear":
-        p = as_exponent(p)
-    if s is not None and inequality_id in ("variant", "same_order"):
-        s = as_exponent(s)
-    if inequality_id == "bilinear":
-        reports = _bilinear_suite(iter(functions), exponent_tuples)
-    else:
-        reports = []
-        for F in functions:
-            if inequality_id == "restriction":
-                reports.append(check_restriction(F, p))
-            elif inequality_id == "variant":
-                reports.append(check_variant(F, p, s))
-            elif inequality_id == "same_order":
-                reports.append(check_same_order(F, p, s))
-            else:
-                reports.append(check_hausdorff_young(F, p))
-            del F  # else F stays alive while the next function is sampled
-    if not reports:
+    selections = _selections(inequality_id, p, s, exponent_tuples)
+    if INEQUALITIES[inequality_id].pairs:
+        trials = _cyclic_pairs(iter(functions))
+    else:  # a map, unlike a generator, keeps no function while drawing the next
+        trials = map(lambda F: (F,), functions)
+    # Looked up at call time, so that a wrapper set on the module attribute runs.
+    check = globals()[f"check_{inequality_id}"]
+    by_selection: list[list[RatioReport]] = [[] for _ in selections]
+    for trial in trials:
+        for reports, selection in zip(by_selection, selections):
+            reports.append(check(*trial, *selection))
+        del trial  # else its functions stay alive while the next is sampled
+    if not by_selection[0]:
         raise ValueError("a suite needs at least one trial function")
-    return reports
+    return [report for reports in by_selection for report in reports]
 
 
-def _bilinear_suite(
-    functions: Iterator[SampledFunction], exponent_tuples: Sequence[ExponentTuple] | None
-) -> list[RatioReport]:
-    """Pair-major evaluation of the cyclic pairs, reordered tuple-major.
-
-    Only the first function (for the closing pair) and the current pair
-    stay alive; each pair runs under every tuple before the next is drawn.
-    """
+def _cyclic_pairs(functions: Iterator[SampledFunction]) -> Iterator[tuple]:
+    """Each function with its successor, then the last with the first; a
+    lone function pairs with itself."""
     first = F = next(functions, None)
-    if first is None:
-        return []
-    if not exponent_tuples:
-        raise ValueError("the bilinear suite needs exponent tuples")
-    by_tuple: list[list[RatioReport]] = [[] for _ in exponent_tuples]
     for G in functions:
-        for reports, exps in zip(by_tuple, exponent_tuples):
-            reports.append(check_bilinear(F, G, exps))
+        yield F, G
         F = G
-    for reports, exps in zip(by_tuple, exponent_tuples):
-        reports.append(check_bilinear(F, first, exps))
-    return [report for reports in by_tuple for report in reports]
+    if first is not None:
+        yield F, first

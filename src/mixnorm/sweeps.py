@@ -33,7 +33,8 @@ from .exponents import (
 )
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
 from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
-from .mixed_norms import MixedNormSpec, mixed_norm, slice_norm, spectrum_norm
+from .inequalities import bilinear_sides
+from .mixed_norms import MixedNormSpec, mixed_norm, spectrum_norm
 from .sampling import TAIL, GenerationError, check_containment, near_delta_family, shear_product
 from .transform import fourier
 
@@ -363,19 +364,14 @@ def necessity_sweep(
         default_lambda_values() if lambda_values is None else lambda_values, "dilation scales"
     )
     axis_index = 0 if axis == "first" else 1
-    constant = beckner_power(exponents.r.conjugate(), grid.d1)
     x = grid.space_coords()
-    f_spec = MixedNormSpec.standard(exponents.p, exponents.s)
-    g_spec = MixedNormSpec.standard(exponents.q, exponents.t)
-
     observed = []
     for lam in lambda_values:
         separable = _dilated_product(lam, axis_index)
         check_containment(separable, grid)
         values = separable.evaluate_grid([x, x])
         F = SampledFunction(grid, values, (SPACE, SPACE))
-        lhs = slice_norm(F, exponents.r, F)
-        bound = constant * mixed_norm(F, f_spec) * mixed_norm(F, g_spec)
+        lhs, bound = bilinear_sides(F, F, exponents)
         observed.append(lhs / bound)
 
     if axis == "first":

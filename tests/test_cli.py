@@ -1,5 +1,7 @@
 """Command-line plumbing: exit codes, artifact shapes, determinism."""
 
+import argparse
+import ast
 import functools
 import gc
 import json
@@ -19,6 +21,7 @@ from mixnorm import cli, inequalities
 from mixnorm.cli import main
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.inequalities import (
+    INEQUALITIES,
     RatioReport,
     check_hausdorff_young,
     check_restriction,
@@ -170,7 +173,9 @@ class TestVerify:
             (["same-order", "--p", "3/2", "--s", "4/3"], "p = 3/2 exceeds s = 4/3"),
         ],
     )
-    def test_exponent_error_stops_at_the_first_trial(self, capsys, monkeypatch, argv, message):
+    def test_exponent_error_stops_before_the_first_trial(
+        self, capsys, monkeypatch, argv, message
+    ):
         sampled = []
 
         def counting(*args):
@@ -181,16 +186,20 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", *argv, "--trials", "50"])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {message}")
-        assert len(sampled) == 1
+        assert sampled == []
 
     def test_inadmissible_tuple_exits_2(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["verify", "bilinear", "--p", "2", "--s", "3", "--q", "2", "--t", "3",
-             "--r", "inf", "--trials", "2"],
-        )
-        assert code == 2
-        assert "s-t-relation" in err
+        for trials in ("2", "0"):  # the tuple is rejected before any trial
+            code, out, err = run(
+                capsys,
+                ["verify", "bilinear", "--p", "2", "--s", "3", "--q", "2", "--t", "3",
+                 "--r", "inf", "--trials", trials],
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: inadmissible exponents (p=2, s=3, q=2, t=3, r=inf): "
+                "violates s-t-relation\n"
+            )
 
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
         failing = RatioReport("restriction", 2.0, 1.0, 2.0, False)
@@ -406,6 +415,22 @@ class TestFlags:
         assert {key.get(flag, flag[2:]) for flag in flags} == echoed
         assert {f"--{name}" for name in echo["exponents"]} == flags & set(EXPONENT_FLAGS)
 
+    def test_verify_targets_are_the_inequality_table(self):
+        targets = cli._TARGETS["verify"]
+        assert list(targets) == [name.replace("_", "-") for name in INEQUALITIES]
+        for name, entry in INEQUALITIES.items():
+            target = targets[name.replace("_", "-")]
+            assert tuple(target.exponents) == entry.exponents
+            assert target.fixed == ({"d2": 0} if entry.one_group else {})
+            assert set(target.fixed).isdisjoint(target.flags)
+
+    def test_cli_names_no_inequality_itself(self):
+        """Every inequality the command line knows comes from the table."""
+        names = {*INEQUALITIES, *(name.replace("_", "-") for name in INEQUALITIES)}
+        tree = ast.parse(Path(cli.__file__).read_text())
+        constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        assert names.isdisjoint(constants)
+
     @pytest.mark.parametrize("command, target, flag", UNREAD)
     def test_an_unread_flag_is_a_usage_error(self, capsys, tmp_path, command, target, flag):
         out = tmp_path / "artifact"
@@ -481,6 +506,31 @@ class TestDeterminism:
             assert result.returncode == 0
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestParser:
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for argv in (["constants", "--r", "2"], ["verify", "restriction", "--trials", "1"]):
+            run(capsys, argv)
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_a_usage_error_leaves_the_parser_as_fresh(self, capsys):
+        argv = ["verify", "hausdorff-young", "--p", "4/3", "--trials", "2"]
+        for bad in (argv + ["--trials", "x"], argv + ["--d2", "1"]):
+            with pytest.raises(SystemExit):
+                main(bad)
+        capsys.readouterr()
+        code, out, err = run(capsys, argv)
+        fresh = run_module(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def run_module(*argv, **env):

@@ -137,8 +137,10 @@ class TestKeptValues:
     @given(reciprocals)
     def test_pickle_and_deepcopy_keep_equality_and_hash(self, recip):
         e = Exponent.from_reciprocal(recip)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         for _ in range(2):  # before any value is kept, then with all of them
-            for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            twins = [pickle.loads(pickle.dumps(e, protocol)) for protocol in protocols]
+            for twin in (*twins, copy.deepcopy(e)):
                 assert twin == e and hash(twin) == hash(e)
                 assert derived(twin) == derived_directly(recip)
             derived(e)

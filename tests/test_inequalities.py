@@ -2,13 +2,25 @@
 
 import itertools
 import math
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mixnorm.exponents import ExponentTuple, InadmissibleExponents, as_exponent, beckner_power
+from mixnorm import inequalities
+from mixnorm.exponents import (
+    Exponent,
+    ExponentTuple,
+    InadmissibleExponents,
+    as_exponent,
+    beckner_power,
+)
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.inequalities import (
+    INEQUALITIES,
     INEQUALITY_IDS,
     check_bilinear,
     check_hausdorff_young,
@@ -166,6 +178,24 @@ class TestStreamingSuite:
         with pytest.raises(ValueError, match="at least one"):
             run_suite(inequality_id, ensemble_stream(GRID2, 0, 1), **kwargs)
 
+    @pytest.mark.parametrize("inequality_id, grid, kwargs", SELECTIONS)
+    def test_a_trial_is_released_before_the_next_is_drawn(self, inequality_id, grid, kwargs):
+        """While a function is drawn the suite holds no earlier one; a
+        bilinear suite holds the first (for the closing pair) and the
+        current one."""
+        held = 2 if INEQUALITIES[inequality_id].pairs else 0
+        drawn = []
+
+        def stream():
+            for F in ensemble_stream(grid, 4, 96):
+                assert sum(ref() is not None for ref in drawn) <= held
+                drawn.append(weakref.ref(F))
+                yield F
+                del F
+
+        assert len(run_suite(inequality_id, stream(), **kwargs)) > 0
+        assert len(drawn) == 4
+
     @pytest.mark.parametrize("inequality_id, kwargs", ONE_OF_EACH)
     def test_input_is_iterated_once(self, inequality_id, kwargs):
         trials = ensemble_trials(GRID2, 3, 95)
@@ -206,6 +236,8 @@ class TestValidation:
             check_variant(GAUSSIAN2, "5/2", 2)
         with pytest.raises(ValueError):
             check_hausdorff_young(GAUSSIAN2, 2)  # two-group input
+        with pytest.raises(ValueError):
+            check_restriction(GAUSSIAN1, 2)  # one-group input
 
     def test_same_order_rejects_reversed_exponents(self):
         with pytest.raises(ValueError, match="blowup"):
@@ -215,6 +247,32 @@ class TestValidation:
         # an empty suite would report zero failures and pass vacuously
         with pytest.raises(ValueError, match="at least one"):
             run_suite("restriction", [], p=2)
+
+    @pytest.mark.parametrize(
+        "inequality_id, kwargs, message",
+        [
+            ("sharp", {"p": 2}, "unknown inequality 'sharp'"),
+            ("restriction", {"p": 3}, r"p must lie in \[1, 2\], got 3"),
+            ("hausdorff_young", {"p": 3}, r"p must lie in \[1, 2\], got 3"),
+            ("variant", {"p": 2, "s": "5/2"}, r"s must lie in \[1, 2\], got 5/2"),
+            ("same_order", {"p": "3/2", "s": "4/3"}, "p = 3/2 exceeds s = 4/3"),
+            (
+                "bilinear",
+                {"exponent_tuples": [ExponentTuple(4, 2, 4, 2, 2), ExponentTuple(2, 3, 2, 3, 4)]},
+                "violates s-t-relation",
+            ),
+            ("bilinear", {}, "needs exponent tuples"),
+        ],
+    )
+    def test_bad_selection_is_rejected_before_a_function_is_drawn(
+        self, inequality_id, kwargs, message
+    ):
+        def undrawable():
+            pytest.fail("the suite drew a function")
+            yield
+
+        with pytest.raises(ValueError, match=message):
+            run_suite(inequality_id, undrawable(), **kwargs)
 
 
 class TestStructure:
@@ -320,3 +378,82 @@ class TestIdentifiers:
             "same_order",
             "hausdorff_young",
         )
+
+
+class TestTable:
+    """``INEQUALITIES`` is the one list of inequalities: the public checks
+    are its ids, and ``run_suite`` calls each through the module attribute
+    that the benchmark's tracer wraps."""
+
+    def test_public_checks_are_the_table_ids(self):
+        assert INEQUALITY_IDS == tuple(INEQUALITIES)
+        checks = {name for name in inequalities.__all__ if name.startswith("check_")}
+        assert checks == {f"check_{inequality_id}" for inequality_id in INEQUALITY_IDS}
+
+    @pytest.mark.parametrize("inequality_id, grid, kwargs", TestStreamingSuite.SELECTIONS)
+    def test_run_suite_calls_the_module_attribute(self, monkeypatch, inequality_id, grid, kwargs):
+        name = f"check_{inequality_id}"
+        check = getattr(inequalities, name)
+        calls = []
+
+        def wrapper(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(inequalities, name, wrapper)
+        reports = run_suite(inequality_id, ensemble_trials(grid, 2, 97), **kwargs)
+        assert len(calls) == len(reports) > 0
+
+
+@st.composite
+def admissible_tuples(draw) -> ExponentTuple:
+    """(p, s, q, t, r) with 1/p + 1/q = 1/r' in [1/2, 1] and 1/s + 1/t = 1."""
+    r_conj = draw(st.fractions(Fraction(1, 2), 1, max_denominator=12))
+    p = draw(st.fractions(0, r_conj, max_denominator=12))
+    s = draw(st.fractions(0, 1, max_denominator=12))
+    reciprocals = (p, s, r_conj - p, 1 - s, 1 - r_conj)
+    return ExponentTuple(*map(Exponent.from_reciprocal, reciprocals))
+
+
+@pytest.fixture(scope="module")
+def ensemble():
+    return ensemble_trials(GRID2, 6, seed=60)
+
+
+class TestTheorem:
+    """The paper's equivalence of the bilinear and the restriction
+    inequality, as two discrete identities that hold to roundoff for any
+    admissible tuple."""
+
+    @settings(deadline=None)  # the first example transforms each function
+    @given(exponents=admissible_tuples(), pair=st.integers(0, 4))
+    def test_bilinear_ratio_is_a_restriction_ratio_of_the_product(self, ensemble, exponents, pair):
+        """ratio(F, G) = restriction ratio(F·G) at r' times
+        ||FG||_(r',1) / (||F||_(p,s) ||G||_(q,t))."""
+        F, G = ensemble[pair], ensemble[pair + 1]
+        product = F.with_values(F.values * G.values)
+        r_conj = exponents.r.conjugate()
+        factors = mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s)) * mixed_norm(
+            G, MixedNormSpec.standard(exponents.q, exponents.t)
+        )
+        holder = mixed_norm(product, MixedNormSpec.standard(r_conj, 1)) / factors
+        expected = check_restriction(product, r_conj).ratio * holder
+        assert check_bilinear(F, G, exponents).ratio == pytest.approx(expected, rel=1e-12)
+
+    @settings(deadline=None)  # the first example transforms each function
+    @given(exponents=admissible_tuples(), index=st.integers(0, 5))
+    def test_every_restriction_ratio_is_a_bilinear_ratio(self, ensemble, exponents, index):
+        """F = sgn(H)|H|^(r'/p) and G = |H|^(r'/q), with s = p/r' and
+        t = q/r', make Hölder an equality: ratio(F, G) = restriction ratio(H)."""
+        assume(not exponents.p.is_infinite and not exponents.q.is_infinite)
+        H = ensemble[index]
+        r_conj = exponents.r.conjugate()
+        a = exponents.p.reciprocal / r_conj.reciprocal  # r'/p = 1/s
+        magnitude = np.abs(H.values)
+        phase = np.divide(H.values, magnitude, out=np.zeros_like(H.values), where=magnitude > 0)
+        F = H.with_values(phase * magnitude ** float(a))
+        G = H.with_values(magnitude ** float(1 - a))
+        s, t = Exponent.from_reciprocal(a), Exponent.from_reciprocal(1 - a)
+        factored = ExponentTuple(exponents.p, s, exponents.q, t, exponents.r)
+        expected = check_restriction(H, r_conj).ratio
+        assert check_bilinear(F, G, factored).ratio == pytest.approx(expected, rel=1e-12)
