@@ -101,11 +101,16 @@ class Exponent:
             return self._float
 
     # Exponents compare only with exponents: a number equal to one would
-    # need its hash, and 0.5 or "abc" is no exponent at all.
+    # need its hash, and 0.5 or "abc" is no exponent at all. A Fraction is
+    # kept in lowest terms, so equal reciprocals have equal numerators and
+    # denominators, and comparing those ints skips Fraction.__eq__.
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Exponent):
             return NotImplemented
-        return self._recip == other._recip
+        a, b = self._recip, other._recip
+        return a.numerator == b.numerator and a.denominator == b.denominator
 
     def __hash__(self) -> int:
         try:

@@ -133,7 +133,11 @@ def _selections(inequality_id: str, p=None, s=None, exponent_tuples=None) -> lis
             if not verdict:
                 raise InadmissibleExponents(verdict.reason, exponents)
         return [(exponents,) for exponents in exponent_tuples]
-    exponents = tuple(as_exponent(e) for e in (p, s)[: len(entry.exponents)])
+    given = dict(zip(("p", "s"), (p, s)))
+    missing = [name for name in entry.exponents if given[name] is None]
+    if missing:
+        raise ValueError(f"the {inequality_id} suite needs {' and '.join(missing)}")
+    exponents = tuple(as_exponent(given[name]) for name in entry.exponents)
     for name, e in zip(entry.exponents, exponents):
         if not _HALF <= e.reciprocal <= 1:  # 1 <= e <= 2
             raise ValueError(f"{name} must lie in [1, 2], got {e}")

@@ -98,6 +98,19 @@ class TestExponent:
         with pytest.raises(TypeError):
             Exponent(2) >= "1"
 
+    @given(reciprocals, reciprocals)
+    def test_equality_and_hash_agree_with_the_reciprocals(self, a, b):
+        # distinct objects throughout, so the identity shortcut decides nothing
+        for x, y in ((a, b), (a, a), (b, b)):
+            ex, ey = Exponent.from_reciprocal(x), Exponent.from_reciprocal(Fraction(str(y)))
+            assert ex is not ey
+            assert (ex == ey) == (x == y) and (ex != ey) == (x != y)
+            assert (ey == ex) == (x == y)
+            if x == y:
+                assert hash(ex) == hash(ey) == hash(x)
+        e = Exponent.from_reciprocal(a)
+        assert e == e and not e != e
+
     @given(rationals)
     def test_conjugate_is_an_involution(self, value):
         e = Exponent(value)

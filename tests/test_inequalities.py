@@ -262,6 +262,10 @@ class TestValidation:
                 "violates s-t-relation",
             ),
             ("bilinear", {}, "needs exponent tuples"),
+            ("restriction", {}, "the restriction suite needs p$"),
+            ("hausdorff_young", {"s": 2}, "the hausdorff_young suite needs p$"),
+            ("variant", {"p": "4/3"}, "the variant suite needs s$"),
+            ("same_order", {}, "the same_order suite needs p and s$"),
         ],
     )
     def test_bad_selection_is_rejected_before_a_function_is_drawn(

@@ -1,6 +1,7 @@
 """Generator families: containment, reproducibility, analytic closures."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,109 @@ class TestEvaluateGrid:
             np.testing.assert_array_equal(values, expected)
         else:
             assert np.all(np.abs(values - expected) <= 8 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_far_tails_match_the_per_term_sum(self, ndim):
+        separable, coords = far_tailed_sum(ndim)
+        values = separable.evaluate_grid(coords)
+        expected, scale = per_term_sum(separable, coords)
+        assert np.abs(expected).min() < 1e-300
+        # each dropped component is under the floor times its row's peak
+        assert np.all(np.abs(values - expected) <= rounding(scale) + dropped(separable, coords))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("amplitude", [2.0**-600, 2.0**600])
+    def test_amplitude_scales_the_sample(self, ndim, amplitude):
+        unit, coords = far_tailed_sum(ndim)
+        scaled = SeparableSum(tuple(
+            (replace(factors[0], amplitude=amplitude * factors[0].amplitude), *factors[1:])
+            for factors in unit.terms
+        ))
+        # the floor follows each row's peak, so a rescaled row keeps the
+        # components its unit row keeps, also when only one term is rescaled;
+        # an absolute floor of 2^-511 would keep none at 2^-600
+        one_scaled = SeparableSum((scaled.terms[0], *unit.terms[1:]))
+        for separable in (scaled, one_scaled):
+            for unit_row, row, exact in zip(
+                unit._factor_rows(coords),
+                separable._factor_rows(coords),
+                unfloored_rows(separable, coords),
+            ):
+                kept = unit_row.view(float) != 0
+                np.testing.assert_array_equal(
+                    row.view(float), np.where(kept, exact.view(float), 0.0)
+                )
+        values = scaled.evaluate_grid(coords)
+        expected = amplitude * unit.evaluate_grid(coords)
+        _, scale = per_term_sum(unit, coords)
+        # below the normal range each of the 4K real products and sums of
+        # an entry rounds to a multiple of the smallest subnormal, 2^-1074
+        subnormal = 4 * len(unit.terms) * 2.0**-1074
+        bound = amplitude * (rounding(scale) + dropped(unit, coords)) + subnormal
+        assert np.all(np.abs(values - expected) <= bound)
+        if amplitude > 1:  # no subnormal anywhere: a power of two scales exactly
+            np.testing.assert_array_equal(values, expected)
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_contraction_inputs_hold_no_far_tail(self, ndim):
+        separable, coords = far_tailed_sum(ndim)
+        rows = separable._factor_rows(coords)
+        if ndim == 1:  # no products, so nothing is dropped
+            np.testing.assert_array_equal(rows[0], unfloored_rows(separable, coords)[0])
+            return
+        floor = 2.0 ** (-1022 / ndim)
+        for row, exact in zip(rows, unfloored_rows(separable, coords)):
+            parts = np.abs(row.view(float))
+            peak = np.abs(row).max(axis=1, keepdims=True)
+            assert np.all((parts == 0) | (parts >= floor * peak))
+            kept = parts != 0
+            np.testing.assert_array_equal(row.view(float)[kept], exact.view(float)[kept])
+        assert any(np.any(row == 0) for row in rows)
+
+
+def far_tailed_sum(ndim):
+    """Six random terms on [-12, 12] per axis, where every factor's tail
+    falls below 1e-300."""
+    rng = np.random.default_rng(40 + ndim)
+    separable = SeparableSum(tuple(
+        tuple(
+            GaussianTerm(
+                complex(*rng.normal(size=2)),
+                rng.uniform(1.0, 2.0),
+                rng.uniform(-1.0, 1.0),
+                rng.uniform(-2.0, 2.0),
+            )
+            for _ in range(ndim)
+        )
+        for _ in range(6)
+    ))
+    return separable, [np.linspace(-12.0, 12.0, n) for n in (41, 42, 43)[:ndim]]
+
+
+def unfloored_rows(separable, coords):
+    """Each axis's K x n factor values, with no component dropped."""
+    return [
+        np.stack([term.evaluate(c) for term in separable.axis_terms(axis)])
+        for axis, c in enumerate(coords)
+    ]
+
+
+def rounding(scale):
+    """The contraction's rounding bound on a sum with pointwise magnitude scale."""
+    return 8 * np.finfo(float).eps * scale
+
+
+def dropped(separable, coords):
+    """A bound on what dropping each component under 2^(-1022/ndim) of its
+    row's peak removes from an entry: each of ndim factors moves by at most
+    sqrt(2) floors of its peak, so a term by at most 2 ndim floors of the
+    product of its factors' peaks."""
+    ndim = separable.ndim
+    peaks = sum(
+        math.prod(np.abs(f.evaluate(c)).max() for f, c in zip(factors, coords))
+        for factors in separable.terms
+    )
+    return 2 * ndim * 2.0 ** (-1022 / ndim) * peaks
 
 
 class TestDilation:

@@ -61,3 +61,44 @@ def test_pair_summary_on_fixed_numbers():
     wide = summarize([1.0, 2.0, 3.0, 4.0], [2.5] * 4, "lower", 0.25)
     assert (wide["parent"], wide["verdict"]) == ((1.75, 2.5, 3.25), "unresolved")
     assert summarize([3.0], [3.0], "lower", 0.25)["parent"] == (3.0, 3.0, 3.0)
+
+
+def test_each_workload_prints_its_own_block(monkeypatch, capsys):
+    pairs = _load(PAIRS)
+    walls = {
+        ("old", "suite"): iter(PARENT_WALLS[:4]),
+        ("new", "suite"): iter(CHANGE_WALLS[:4]),
+        ("old", "cli_fine"): iter([1.0, 1.1, 0.9, 1.0]),
+        ("new", "cli_fine"): iter([1.5, 1.4, 1.6, 1.5]),
+    }
+    calls = []
+
+    def run_once(checkout, workload, seconds, seed):
+        calls.append((checkout, workload, seconds, seed))
+        wall = next(walls[checkout, workload])
+        metrics = {"wall_s": wall, "checks_per_s": 10 / wall, "setup_s": 0.2, "peak_rss_mb": 60.0}
+        return {"correct": workload == "suite", "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["old", "new", "--workload", "suite", "--workload", "cli_fine", "--workload", "suite",
+            "--pairs", "4", "--seconds", "2", "--seed", "11"]
+    assert pairs.main(argv) == 0
+    # a repeated workload runs once; pairs alternate which side goes first
+    order = ["old", "new", "new", "old"] * 4
+    assert [c[:2] for c in calls] == list(zip(order, ["suite"] * 8 + ["cli_fine"] * 8))
+    assert {c[2:] for c in calls} == {(2.0, 11)}
+    suite, cli_fine = capsys.readouterr().out.split("\n\n")
+    assert suite.splitlines()[:5] == [
+        "workload suite, seed 11, 4 pairs of 2 s runs",
+        "wall_s (s, lower is better, bound 25%)",
+        "  parent  median 2.215  quartiles 2.185 .. 2.27",
+        "  change  median 1.95  quartiles 1.935 .. 1.968",
+        "  change won 4/4 pairs, median -12.0%: gain",
+    ]
+    assert "  change won 0/4 pairs, median +0.0%: within bound" in suite  # setup_s
+    assert suite.splitlines()[-2:] == [
+        "correct (parent): true true true true", "correct (change): true true true true",
+    ]
+    assert cli_fine.splitlines()[0] == "workload cli_fine, seed 11, 4 pairs of 2 s runs"
+    assert cli_fine.splitlines()[4] == "  change won 0/4 pairs, median +50.0%: regression"
+    assert cli_fine.splitlines()[-1] == "correct (change): false false false false"

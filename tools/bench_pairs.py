@@ -1,14 +1,16 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S [--seed K]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...]
+        --pairs N --seconds S [--seed K]
 
 PARENT and CHANGE are the roots of two checkouts. Each pair runs
 ``perfbench/run.py --workload W --seconds S --trace 0`` once in each, in a
 fresh interpreter; the parent goes first in even pairs and the change in
-odd ones, so drift of the host does not favour one side. For every
-end-to-end metric that ``BENCHMARK.json`` lists, the tool prints each
-side's median and quartiles, how many pairs the change won (ties count for
-neither side) and a verdict:
+odd ones, so drift of the host does not favour one side. The workloads run
+one after another, in the order given, and each gets its own block of
+output. For every end-to-end metric that ``BENCHMARK.json`` lists, the
+block gives each side's median and quartiles, how many pairs the change
+won (ties count for neither side) and a verdict:
 
 * ``gain``: the change won at least nine pairs in ten and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -18,8 +20,8 @@ neither side) and a verdict:
   not every change run beats every parent run;
 * ``within bound``: none of these.
 
-Last comes every run's ``correct`` flag. A run that exits non-zero stops
-the tool.
+Each block ends with every run's ``correct`` flag. A run that exits
+non-zero stops the tool.
 """
 
 from __future__ import annotations
@@ -88,28 +90,23 @@ def run_once(checkout: str, workload: str, seconds: float, seed: int | None) -> 
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-
+def run_pairs(args, workload: str) -> dict[str, list[dict]]:
+    """The result objects of ``args.pairs`` alternating pairs of runs."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for index in range(args.pairs):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seconds, args.seed)
+            result = run_once(getattr(args, side), workload, args.seconds, args.seed)
             runs[side].append(result)
             wall = result["metrics"]["wall_s"]["value"]
-            print(f"pair {index + 1}/{args.pairs} {side}: wall_s {wall:.4g}", file=sys.stderr)
+            print(f"{workload} pair {index + 1}/{args.pairs} {side}: wall_s {wall:.4g}",
+                  file=sys.stderr)
+    return runs
 
-    print(f"workload {args.workload}, seed {args.seed if args.seed is not None else 'default'}, "
+
+def print_block(args, workload: str, runs: dict[str, list[dict]]) -> None:
+    """One workload's summary of every end-to-end metric."""
+    print(f"workload {workload}, seed {args.seed if args.seed is not None else 'default'}, "
           f"{args.pairs} pairs of {args.seconds:g} s runs")
     for metric in json.loads(BENCHMARK.read_text())["end_to_end"]:
         name = metric["name"]
@@ -123,6 +120,25 @@ def main(argv: list[str] | None = None) -> int:
               f"{s['verdict']}")
     for side in ("parent", "change"):
         print(f"correct ({side}): {' '.join(str(r['correct']).lower() for r in runs[side])}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload to compare; repeat for more than one")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    for number, workload in enumerate(dict.fromkeys(args.workload)):
+        if number:
+            print()
+        print_block(args, workload, run_pairs(args, workload))
     return 0
 
 
