@@ -10,7 +10,6 @@ from mixnorm import (
     MixedNormSpec,
     SampledFunction,
     gaussian_product,
-    holder_compare,
     minkowski_compare,
     mixed_norm,
     plain_norm,
@@ -56,10 +55,20 @@ print(f"violations over 200 random arrays: {violations}")
 
 # ----------------------------------------------------------------------
 # Mixed-norm Holder: ||FG||_(u,v) <= ||F||_(p,s) ||G||_(q,t) with
-# reciprocals adding. Matched Gaussians give equality
+# reciprocals adding; (2, 2) and (2, 2) give (1, 1). Matched Gaussians
+# give equality
+
+
+def holder_ratio(F, G):
+    product = F.with_values(F.values * G.values)
+    l22 = MixedNormSpec.standard(2, 2)
+    return mixed_norm(product, MixedNormSpec.standard(1, 1)) / (
+        mixed_norm(F, l22) * mixed_norm(G, l22)
+    )
+
 
 G = gaussian_product(grid, [1.0, 2.0])
 print()
-print(f"Holder ratio, matched factors:    {holder_compare(F, G, (2, 2, 2, 2)):.12f}")
+print(f"Holder ratio, matched factors:    {holder_ratio(F, G):.12f}")
 H = gaussian_product(grid, [2.0, 1.0])
-print(f"Holder ratio, mismatched factors: {holder_compare(F, H, (2, 2, 2, 2)):.12f}")
+print(f"Holder ratio, mismatched factors: {holder_ratio(F, H):.12f}")

@@ -29,7 +29,6 @@ __all__ = [
     "beckner_constant",
     "beckner_power",
     "admissible",
-    "holder_exponents",
 ]
 
 ExponentLike = Union["Exponent", int, float, str, Fraction]
@@ -80,10 +79,6 @@ class Exponent:
     def value(self) -> Fraction | float:
         """The exponent itself; ``math.inf`` for the exponent inf."""
         return math.inf if self._recip == 0 else 1 / self._recip
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._recip == 0
 
     def conjugate(self) -> "Exponent":
         """The exponent a' with 1/a + 1/a' = 1 (conjugate of 1 is inf)."""
@@ -249,21 +244,3 @@ def beckner_power(r: ExponentLike, dims: int) -> float:
         return 1.0
     return beckner_constant(r) ** n
 
-
-def holder_exponents(
-    p: ExponentLike, q: ExponentLike, s: ExponentLike, t: ExponentLike
-) -> tuple[Exponent, Exponent]:
-    """Exponents (u, v) of a product: 1/u = 1/p + 1/q, 1/v = 1/s + 1/t.
-
-    Rejects reciprocal sums above 1, where no Lebesgue exponent exists.
-    """
-    u_recip = _added_reciprocal(as_exponent(p), as_exponent(q), "1/p + 1/q")
-    v_recip = _added_reciprocal(as_exponent(s), as_exponent(t), "1/s + 1/t")
-    return Exponent.from_reciprocal(u_recip), Exponent.from_reciprocal(v_recip)
-
-
-def _added_reciprocal(a: Exponent, b: Exponent, label: str) -> Fraction:
-    total = a.reciprocal + b.reciprocal
-    if total > 1:
-        raise ValueError(f"{label} = {total} exceeds 1")
-    return total

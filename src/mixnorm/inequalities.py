@@ -6,13 +6,15 @@ One table, ``INEQUALITIES``, describes each inequality's selections;
 Each check evaluates one inequality as lhs / bound on a concrete sampled
 function and wraps the outcome in a ``RatioReport``. A report passes
 exactly when the ratio is at most 1 + ``SUITE_TOL``, the discretization
-error budget of the random-ensemble suites; a zero or non-finite bound
-marks the trial degenerate, which never counts as a pass.
+error budget of the random-ensemble suites. A left side or bound that is
+zero, subnormal or not finite marks the trial degenerate, which never
+counts as a pass.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -26,6 +28,7 @@ from .exponents import (
     InadmissibleExponents,
     admissible,
     as_exponent,
+    beckner_constant,
     beckner_power,
 )
 from .grids import GridSpec, SampledFunction
@@ -77,7 +80,7 @@ INEQUALITY_IDS = tuple(INEQUALITIES)
 
 SUITE_TOL = 1e-2
 
-_HALF = Fraction(1, 2)
+_TINY = sys.float_info.min  # the smallest normal float
 _ONE = Exponent(1)
 
 
@@ -110,7 +113,7 @@ def _build_report(
     inequality_id: str, lhs: float, bound: float, exponents: dict, functions: dict
 ) -> RatioReport:
     descriptors = {"exponents": exponents, "functions": functions}
-    if bound <= 0.0 or not math.isfinite(bound) or not math.isfinite(lhs):
+    if not (_TINY <= lhs < math.inf and _TINY <= bound < math.inf):
         return RatioReport(inequality_id, lhs, bound, None, False, True, descriptors)
     ratio = lhs / bound
     return RatioReport(
@@ -120,8 +123,9 @@ def _build_report(
 
 def _selections(inequality_id: str, p=None, s=None, exponent_tuples=None) -> list[tuple]:
     """The exponent arguments of each check a selection makes, checked:
-    a pairs selection's tuples are admissible; otherwise the exponents lie
-    in [1, 2], and same-order's p is at most s."""
+    a pairs selection's tuples are admissible; otherwise each exponent has a
+    ``beckner_constant``, so lies in [1, 2] (the exponent keeps the value, so
+    a repeated check costs no comparison), and same-order's p is at most s."""
     entry = INEQUALITIES.get(inequality_id)
     if entry is None:
         raise ValueError(f"unknown inequality {inequality_id!r}; pick from {INEQUALITY_IDS}")
@@ -139,8 +143,10 @@ def _selections(inequality_id: str, p=None, s=None, exponent_tuples=None) -> lis
         raise ValueError(f"the {inequality_id} suite needs {' and '.join(missing)}")
     exponents = tuple(as_exponent(given[name]) for name in entry.exponents)
     for name, e in zip(entry.exponents, exponents):
-        if not _HALF <= e.reciprocal <= 1:  # 1 <= e <= 2
-            raise ValueError(f"{name} must lie in [1, 2], got {e}")
+        try:
+            beckner_constant(e)
+        except ValueError:
+            raise ValueError(f"{name} must lie in [1, 2], got {e}") from None
     if inequality_id == "same_order" and exponents[0] > exponents[1]:
         raise ValueError(
             f"p = {exponents[0]} exceeds s = {exponents[1]}; the same-order bound fails "

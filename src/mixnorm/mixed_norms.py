@@ -1,4 +1,4 @@
-"""Mixed Lebesgue norms on product grids, plus the comparison oracles.
+"""Mixed Lebesgue norms on product grids, plus the Minkowski comparison.
 
 ``mixed_norm`` evaluates the inner norm first, over one axis group, then
 the outer norm over the other group. Quadrature is the plain Riemann sum
@@ -24,29 +24,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exponents import Exponent, ExponentLike, as_exponent, holder_exponents
+from .exponents import Exponent, ExponentLike, as_exponent
 from .grids import NonFiniteValues, SampledFunction
 from .transform import fourier, marginal_second
 
 __all__ = [
     "MixedNormSpec",
     "MinkowskiComparison",
-    "DegenerateTrial",
     "mixed_norm",
     "spectrum_norm",
     "plain_norm",
     "slice_norm",
     "minkowski_compare",
-    "holder_compare",
 ]
 
-#: Slack for the exact comparison oracles; these identities hold to
-#: roundoff, not merely to quadrature accuracy.
+#: Slack for the Minkowski comparison, which holds to roundoff, not merely
+#: to quadrature accuracy.
 COMPARISON_TOL = 1e-10
-
-
-class DegenerateTrial(ValueError):
-    """A ratio has a zero denominator; the trial carries no information."""
 
 
 @dataclass(frozen=True)
@@ -257,28 +251,3 @@ def minkowski_compare(
         larger, smaller = b_outermost, a_outermost
     return MinkowskiComparison(larger, smaller, larger <= smaller + COMPARISON_TOL)
 
-
-def holder_compare(
-    F: SampledFunction,
-    G: SampledFunction,
-    exps: tuple[ExponentLike, ExponentLike, ExponentLike, ExponentLike],
-) -> float:
-    """Ratio of the product's (u, v) mixed norm to the factor norms.
-
-    ``exps`` is (p, s, q, t): F measured in (p, s), G in (q, t), and the
-    product in 1/u = 1/p + 1/q, 1/v = 1/s + 1/t. The ratio never exceeds
-    1 + 1e-10.
-    """
-    if F.grid != G.grid:
-        raise ValueError("factors must live on the same grid")
-    if F.side != G.side:
-        raise ValueError(f"factors on different sides: {F.side} vs {G.side}")
-    p, s, q, t = exps
-    u, v = holder_exponents(p, q, s, t)
-    product = F.with_values(F.values * G.values)
-    denominator = mixed_norm(F, MixedNormSpec.standard(p, s)) * mixed_norm(
-        G, MixedNormSpec.standard(q, t)
-    )
-    if denominator == 0.0:
-        raise DegenerateTrial("both factor norms vanish; the ratio is undefined")
-    return mixed_norm(product, MixedNormSpec.standard(u, v)) / denominator

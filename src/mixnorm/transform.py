@@ -1,8 +1,8 @@
 """Centered, continuum-normalized Fourier transforms on product grids.
 
-The forward map approximates F̂(ξ) = ∫ e^{−2πi x·ξ} F(x) dx by one
-h-scaled, centered n-dimensional DFT over all transformed axes. Both
-grids are centered with N even, so per axis
+``fourier`` approximates F̂(ξ) = ∫ e^{−2πi x·ξ} F(x) dx by one h-scaled,
+centered n-dimensional DFT over all transformed axes. Both grids are
+centered with N even, so per axis
 
     F̂(ξ_k) = h · (−1)^{N/2} · (−1)^k · FFT[(−1)^j F(x_j)]_k
             = h · fftshift(FFT[ifftshift(F)])_k
@@ -14,6 +14,7 @@ input and its result.
 Transforms act on whole axis groups (first, second, or all), matching
 the partial-transform structure of the inequalities: a full transform is
 the composition of the second-group and first-group partial transforms.
+There is no inverse: every check measures F̂ on the frequency side.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 
 __all__ = [
     "fourier",
-    "inverse_fourier",
     "slice_second_zero",
     "marginal_second",
 ]
@@ -74,47 +74,30 @@ def _swap_halves(values: np.ndarray, axes: list[int]) -> None:
             low[...], high[...] = high, low.copy()
 
 
-def _transform(F: SampledFunction, axes: str, forward: bool) -> SampledFunction:
-    """Transform the selected groups, flipping each one's side.
-
-    Forward followed by inverse on the same axes is the identity up to
-    roundoff, since the shifts cancel and so do FFT/IFFT.
-    """
-    want = SPACE if forward else FREQUENCY
-    flip = FREQUENCY if forward else SPACE
-    side = list(F.side)
-    axes_list: list[int] = []
-    for group in _normalize_selector(F.grid, axes):
-        if side[group] != want:
-            direction = "forward" if forward else "inverse"
-            raise ValueError(
-                f"group {group} is on the {side[group]} side; "
-                f"cannot apply a {direction} transform there"
-            )
-        side[group] = flip
-        axes_list += F.group_axes(group)
-    kernel = np.fft.fftn if forward else np.fft.ifftn
-    # ifftshift returns a fresh array, so the kernel may write into it and
-    # the result is shifted back in place: no third grid array.
-    values = np.fft.ifftshift(F.values, axes=axes_list)
-    kernel(values, axes=axes_list, out=values)
-    _swap_halves(values, axes_list)
-    values *= F.grid.spacing ** (len(axes_list) if forward else -len(axes_list))
-    return SampledFunction(F.grid, values, tuple(side))
-
-
 def fourier(F: SampledFunction, axes: str = "all") -> SampledFunction:
-    """Forward transform over the selected axis groups.
+    """Forward transform over the selected axis groups, each of which moves
+    from the space side to the frequency side.
 
     With ``axes="all"`` this is unitary from sampled L² to sampled L² up
     to discretization error, and contractive from L¹ to L^∞.
     """
-    return _transform(F, axes, forward=True)
-
-
-def inverse_fourier(F: SampledFunction, axes: str = "all") -> SampledFunction:
-    """Inverse transform over the selected axis groups."""
-    return _transform(F, axes, forward=False)
+    side = list(F.side)
+    axes_list: list[int] = []
+    for group in _normalize_selector(F.grid, axes):
+        if side[group] != SPACE:
+            raise ValueError(
+                f"group {group} is on the {side[group]} side; "
+                "cannot apply a forward transform there"
+            )
+        side[group] = FREQUENCY
+        axes_list += F.group_axes(group)
+    # ifftshift returns a fresh array, so the FFT may write into it and
+    # the result is shifted back in place: no third grid array.
+    values = np.fft.ifftshift(F.values, axes=axes_list)
+    np.fft.fftn(values, axes=axes_list, out=values)
+    _swap_halves(values, axes_list)
+    values *= F.grid.spacing ** len(axes_list)
+    return SampledFunction(F.grid, values, tuple(side))
 
 
 def slice_second_zero(Fhat: SampledFunction) -> SampledFunction:

@@ -19,7 +19,6 @@ from mixnorm.exponents import (
     as_exponent,
     beckner_constant,
     beckner_power,
-    holder_exponents,
 )
 
 rationals = st.fractions(min_value=1, max_value=1000, max_denominator=64)
@@ -55,8 +54,8 @@ class TestExponent:
         assert Exponent(2) == Exponent("2") == Exponent(2.0) == Exponent(Fraction(2))
         assert Exponent("4/3") == Exponent(Fraction(4, 3))
         assert Exponent("1.5") == Exponent(Fraction(3, 2))
-        assert Exponent("inf").is_infinite
-        assert Exponent(math.inf).is_infinite
+        assert Exponent("inf").reciprocal == 0
+        assert Exponent(math.inf).reciprocal == 0
 
     def test_reciprocal_storage_is_exact_for_rationals(self):
         e = Exponent("4/3")
@@ -115,12 +114,12 @@ class TestExponent:
     def test_conjugate_is_an_involution(self, value):
         e = Exponent(value)
         assert e.conjugate().conjugate() == e
-        if not e.is_infinite and e.value != 1:
+        if e.reciprocal != 0 and e.value != 1:
             total = e.reciprocal + e.conjugate().reciprocal
             assert total == 1
 
     def test_conjugate_endpoints(self):
-        assert Exponent(1).conjugate().is_infinite
+        assert Exponent(1).conjugate() == Exponent("inf")
         assert Exponent("inf").conjugate() == Exponent(1)
         assert Exponent(2).conjugate() == Exponent(2)
         assert Exponent("4/3").conjugate() == Exponent(4)
@@ -252,30 +251,6 @@ class TestBecknerConstant:
         assert beckner_constant("3/2") == pytest.approx(
             r ** (1 / (2 * r)) * rc ** (-1 / (2 * rc)), rel=1e-15
         )
-
-
-class TestHolderExponents:
-    def test_pairwise_addition(self):
-        u, v = holder_exponents(4, 4, 2, 2)
-        assert u == Exponent(2)
-        assert v == Exponent(1)
-
-    def test_infinite_partner_is_identity(self):
-        u, v = holder_exponents(3, "inf", "inf", "3/2")
-        assert u == Exponent(3)
-        assert v == Exponent("3/2")
-
-    def test_rejects_reciprocal_sum_above_one(self):
-        with pytest.raises(ValueError):
-            holder_exponents("4/3", 2, 2, 2)
-
-    @given(st.fractions(min_value=0, max_value="1/2", max_denominator=24),
-           st.fractions(min_value=0, max_value="1/2", max_denominator=24))
-    def test_reciprocals_add(self, a, b):
-        p = Exponent.from_reciprocal(a)
-        q = Exponent.from_reciprocal(b)
-        u, _ = holder_exponents(p, q, 2, 2)
-        assert u.reciprocal == a + b
 
 
 class TestExponentTuple:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import weakref
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from mixnorm.exponents import (
     ExponentTuple,
     InadmissibleExponents,
     as_exponent,
+    beckner_constant,
     beckner_power,
 )
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
@@ -278,6 +280,50 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             run_suite(inequality_id, undrawable(), **kwargs)
 
+    @given(
+        inequality_id=st.sampled_from(["restriction", "variant", "same_order", "hausdorff_young"]),
+        reciprocals=st.lists(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=2),
+    )
+    def test_a_selection_is_accepted_exactly_where_each_constant_is_defined(
+        self, inequality_id, reciprocals
+    ):
+        def defined(e):
+            try:
+                beckner_constant(e)
+            except ValueError:
+                return False
+            return True
+
+        # separate objects, so that the constant kept by one call is not read by the other
+        p, s = (Exponent.from_reciprocal(a) for a in reciprocals)
+        expected = all(defined(e) for e in (p, s)[: len(INEQUALITIES[inequality_id].exponents)])
+        if inequality_id == "same_order":
+            expected = expected and p <= s
+        try:
+            inequalities._selections(inequality_id, *map(Exponent.from_reciprocal, reciprocals))
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected
+
+    def test_a_repeated_check_makes_no_fraction_comparison(self, monkeypatch):
+        F = random_ensemble(GRID2, 6, seed=11)
+        p, s = Exponent("4/3"), Exponent(2)
+        first = check_variant(F, p, s)
+        calls = []
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+
+            def counted(a, b, compare=getattr(Fraction, name)):
+                calls.append(compare.__name__)
+                return compare(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        second = check_variant(F, p, s)
+        monkeypatch.undo()
+        assert calls == []
+        assert second == first
+
 
 class TestStructure:
     def test_ratio_is_scale_invariant(self):
@@ -357,6 +403,57 @@ class TestStructure:
         F = SampledFunction(GRID2, np.full(GRID2.shape, 2.0**1015, complex), (SPACE, SPACE))
         assert slice_norm(F, 4) == math.inf
         assert ("slice", None) not in F._reductions
+
+    @pytest.mark.parametrize(
+        "lhs, bound",
+        [
+            (0.0, 1.0),
+            (5e-324, 1.0),
+            (1.0, 0.0),
+            (1.0, 5e-324),
+            (1.0, -1.0),
+            (math.inf, 1.0),
+            (1.0, math.inf),
+            (math.nan, 1.0),
+            (1.0, math.nan),
+        ],
+    )
+    def test_a_side_that_is_not_a_finite_normal_float_is_degenerate(self, lhs, bound):
+        report = inequalities._build_report("restriction", lhs, bound, {}, {})
+        assert report.degenerate and not report.passed and report.ratio is None
+
+    def test_the_smallest_normal_sides_are_decided(self):
+        tiny = sys.float_info.min
+        report = inequalities._build_report("restriction", tiny, tiny, {}, {})
+        assert report.passed and not report.degenerate and report.ratio == 1.0
+
+    @staticmethod
+    def scaled_reports(c: float) -> list:
+        """Each inequality's reports on the seed-11 ensembles scaled by c:
+        restriction and Hausdorff-Young at p = 4/3, variant and same-order at
+        (4/3, 2), bilinear with the seed-12 partner under the ten tuples of
+        seed 77."""
+        F, G = (random_ensemble(GRID2, 6, seed=seed) for seed in (11, 12))
+        f = random_ensemble(GRID1, 6, seed=11)
+        F, G, f = (h.with_values(c * h.values) for h in (F, G, f))
+        return [
+            check_restriction(F, "4/3"),
+            check_hausdorff_young(f, "4/3"),
+            check_variant(F, "4/3", 2),
+            check_same_order(F, "4/3", 2),
+            *(check_bilinear(F, G, exps) for exps in random_admissible_tuples(10, seed=77)),
+        ]
+
+    def test_an_underflowed_side_is_degenerate_not_a_pass(self):
+        # at 1e-160 each left side underflows below the smallest normal float
+        for report in self.scaled_reports(1e-160):
+            assert report.lhs < sys.float_info.min
+            assert report.degenerate and not report.passed and report.ratio is None
+
+    def test_unscaled_reports_pass(self):
+        for report in self.scaled_reports(1.0):
+            assert report.passed and not report.degenerate
+            assert report.ratio == report.lhs / report.bound
 
 
 class TestTupleGenerator:
@@ -449,7 +546,7 @@ class TestTheorem:
     def test_every_restriction_ratio_is_a_bilinear_ratio(self, ensemble, exponents, index):
         """F = sgn(H)|H|^(r'/p) and G = |H|^(r'/q), with s = p/r' and
         t = q/r', make Hölder an equality: ratio(F, G) = restriction ratio(H)."""
-        assume(not exponents.p.is_infinite and not exponents.q.is_infinite)
+        assume(exponents.p.reciprocal != 0 and exponents.q.reciprocal != 0)
         H = ensemble[index]
         r_conj = exponents.r.conjugate()
         a = exponents.p.reciprocal / r_conj.reciprocal  # r'/p = 1/s

@@ -8,12 +8,7 @@ import pytest
 
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import gaussian_product, near_delta_family, random_ensemble
-from mixnorm.transform import (
-    fourier,
-    inverse_fourier,
-    marginal_second,
-    slice_second_zero,
-)
+from mixnorm.transform import fourier, marginal_second, slice_second_zero
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
@@ -56,10 +51,9 @@ class TestFourier:
     def test_side_mismatch_rejected(self):
         F = gaussian_product(GRID2, [1.0, 1.0])
         Fhat = fourier(F)
-        with pytest.raises(ValueError):
+        message = "group 0 is on the frequency side; cannot apply a forward transform there"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             fourier(Fhat)
-        with pytest.raises(ValueError):
-            inverse_fourier(F)
 
     def test_partial_then_partial_equals_full(self):
         for seed in range(5):
@@ -68,14 +62,6 @@ class TestFourier:
             composed = fourier(fourier(F, "second"), "first")
             assert np.max(np.abs(full.values - composed.values)) <= 1e-10
             assert composed.side == (FREQUENCY, FREQUENCY)
-
-    def test_round_trip_is_identity(self):
-        for axes in ("first", "second", "all"):
-            F = random_ensemble(GRID2, 4, seed=42)
-            back = inverse_fourier(fourier(F, axes), axes)
-            rel = np.max(np.abs(back.values - F.values)) / np.max(np.abs(F.values))
-            assert rel <= 1e-10
-            assert back.side == F.side
 
     def test_selector_validation(self):
         f = gaussian_product(GRID1, [1.0])
@@ -113,26 +99,21 @@ SHIFT_CASES = [
 
 @pytest.mark.parametrize("d1, d2, n", SHIFT_CASES)
 def test_transform_equals_the_shift_formula_bit_for_bit(d1, d2, n):
-    """h^±k · fftshift(fftn/ifftn(ifftshift(v))) over the selected axes,
-    with ``==``: the in-place shift is the same permutation of the same
-    FFT output."""
+    """h^k · fftshift(fftn(ifftshift(v))) over the selected axes, with
+    ``==``: the in-place shift is the same permutation of the same FFT
+    output."""
     grid = GridSpec(d1, d2, n, 16.0)
     rng = np.random.default_rng(n + 10 * d1 + 100 * d2)
     values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     selected = {"first": grid.first_axes, "second": grid.second_axes}
     selected["all"] = grid.first_axes + grid.second_axes
-    groups = 1 if d2 == 0 else 2
+    F = SampledFunction(grid, values, (SPACE,) * (1 if d2 == 0 else 2))
     for selector, axes in selected.items():
         if not axes:
             continue
-        for transform, kernel, side, k in (
-            (fourier, np.fft.fftn, SPACE, len(axes)),
-            (inverse_fourier, np.fft.ifftn, FREQUENCY, -len(axes)),
-        ):
-            F = SampledFunction(grid, values, (side,) * groups)
-            shifted = np.fft.ifftshift(values, axes=axes)
-            expected = np.fft.fftshift(kernel(shifted, axes=axes), axes=axes) * grid.spacing**k
-            assert np.array_equal(transform(F, selector).values, expected)
+        shifted = np.fft.ifftshift(values, axes=axes)
+        expected = np.fft.fftshift(np.fft.fftn(shifted, axes=axes), axes=axes)
+        assert np.array_equal(fourier(F, selector).values, expected * grid.spacing ** len(axes))
 
 
 class TestGridSpec:
