@@ -157,7 +157,7 @@ def _echo(args) -> dict:
     return echo
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -251,13 +251,6 @@ def _sweep_text(report: SweepReport, config: dict) -> str:
     return _render(config, "csv", table, fields)
 
 
-def _with_suffix(out: str | None, tag: str) -> str | None:
-    if out is None:
-        return None
-    path = Path(out)
-    return str(path.with_name(f"{path.stem}_{tag}{path.suffix}"))
-
-
 def _cmd_sweep(args) -> int:
     config = _echo(args)
     exponents = config["exponents"]
@@ -268,28 +261,28 @@ def _cmd_sweep(args) -> int:
                 f"blowup needs s < p strictly (got p={p}, s={s}); "
                 "at s >= p the ratio stays bounded"
             )
-        report = blowup_sweep(p, s)
-        _emit(_sweep_text(report, config), args.out)
-        return 0 if report.passed else 1
-    grid = GridSpec(1, 1, args.n, args.extent)
-    if args.target == "delta":
-        report = delta_divergence_demo(as_exponent(exponents["p"]), grid=grid)
-        _emit(_sweep_text(report, config), args.out)
-        return 0 if report.passed else 1
-    exps = ExponentTuple(**exponents)
-    all_pass = True
+        reports = {None: blowup_sweep(p, s)}
+    else:
+        grid = GridSpec(1, 1, args.n, args.extent)
+        if args.target == "delta":
+            reports = {None: delta_divergence_demo(as_exponent(exponents["p"]), grid=grid)}
+        else:
+            exps = ExponentTuple(**exponents)
+            reports = {
+                axis: necessity_sweep(exps, grid=grid, axis=axis) for axis in ("first", "second")
+            }
+    # Nothing is written until every sweep has run, so a failing sweep
+    # leaves no file behind. A tagged report's file name ends in its tag.
     chunks = []
-    for axis in ("first", "second"):
-        report = necessity_sweep(exps, grid=grid, axis=axis)
-        all_pass = all_pass and report.passed
-        out = _with_suffix(args.out, axis)
-        if out is None:
+    for tag, report in reports.items():
+        if args.out is None:
             chunks.append(_sweep_text(report, config))
         else:
-            _emit(_sweep_text(report, config), out)
-    if chunks:
-        sys.stdout.write("\n".join(chunks))
-    return 0 if all_pass else 1
+            path = Path(args.out)
+            tagged = path if tag is None else path.with_name(f"{path.stem}_{tag}{path.suffix}")
+            _emit(_sweep_text(report, config), tagged)
+    sys.stdout.write("\n".join(chunks))
+    return 0 if all(report.passed for report in reports.values()) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

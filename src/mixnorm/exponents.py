@@ -115,10 +115,12 @@ class Exponent:
             return self._hash
 
     # Reciprocals reverse the order: larger exponent, smaller reciprocal.
+    # Denominators are positive, so cross-multiplied ints order them.
     def __lt__(self, other) -> bool:
         if not isinstance(other, Exponent):
             return NotImplemented
-        return self._recip > other._recip
+        a, b = self._recip, other._recip
+        return a.numerator * b.denominator > b.numerator * a.denominator
 
     def __str__(self) -> str:
         try:

@@ -47,8 +47,8 @@ class GridSpec:
             raise ValueError(f"second factor dimension must be >= 0, got {self.d2}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"points per axis must be even and >= 2, got {self.n}")
-        if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < np.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
 
     @classmethod
     def default(cls, d1: int = 1, d2: int = 1, n: int = 256, extent: float = 16.0) -> "GridSpec":

@@ -16,6 +16,7 @@ descriptors in its parameters.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +90,16 @@ def check_containment(separable: SeparableSum, grid: GridSpec) -> None:
         _check_terms(transformed.axis_terms(axis), grid, FREQUENCY, f"axis {axis}")
 
 
+def sample_separable(
+    separable: SeparableSum, grid: GridSpec, descriptor: dict | None = None
+) -> SampledFunction:
+    """Sample ``separable`` on the space grid once it fits on both sides."""
+    check_containment(separable, grid)
+    values = separable.evaluate_grid([grid.space_coords()] * grid.ndim)
+    sides = (SPACE,) if grid.d2 == 0 else (SPACE, SPACE)
+    return SampledFunction(grid, values, sides, descriptor, separable)
+
+
 def _as_mix(f: SampledFunction | GaussianMix) -> GaussianMix:
     if isinstance(f, GaussianMix):
         return f
@@ -100,10 +111,6 @@ def _as_mix(f: SampledFunction | GaussianMix) -> GaussianMix:
     raise TypeError(
         "an analytic one-factor Gaussian family is required for exact re-evaluation"
     )
-
-
-def _one_factor_sides(grid: GridSpec) -> tuple[str, ...]:
-    return (SPACE,) if grid.d2 == 0 else (SPACE, SPACE)
 
 
 def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction:
@@ -118,17 +125,19 @@ def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction
     if any(a <= 0 for a in scales):
         raise ValueError(f"scales must be positive, got {scales}")
     separable = SeparableSum((tuple(GaussianTerm(1.0, a) for a in scales),))
-    check_containment(separable, grid)
-    coords = [grid.space_coords()] * grid.ndim
-    values = separable.evaluate_grid(coords)
     descriptor = {"family": "gaussian_product", "parameters": {"scales": scales}, "seed": None}
-    return SampledFunction(grid, values, _one_factor_sides(grid), descriptor, separable)
+    return sample_separable(separable, grid, descriptor)
 
 
 def _ensemble_scale_bounds(grid: GridSpec) -> tuple[float, float]:
     log_tail = math.log(1.0 / TAIL)
-    a_min = 16.0 * log_tail / (math.pi * grid.extent**2)
-    a_max = math.pi * grid.n**2 / (16.0 * grid.extent**2 * log_tail)
+    # Divided by the extent twice: its square can leave the float range.
+    a_min = 16.0 * log_tail / math.pi / grid.extent / grid.extent
+    a_max = math.pi * grid.n**2 / (16.0 * log_tail) / grid.extent / grid.extent
+    if not all(sys.float_info.min <= a < math.inf for a in (a_min, a_max)):
+        raise GenerationError(
+            f"extent {grid.extent:.4g} leaves the random ensemble no normal-float scales"
+        )
     if a_min > a_max:
         raise GenerationError(
             "grid too coarse for the random ensemble; "
@@ -169,12 +178,9 @@ def random_ensemble(grid: GridSpec, complexity: int, seed: int) -> SampledFuncti
             for axis in range(d)
         ]
         terms.append(tuple(factors))
-    separable = SeparableSum(tuple(terms))
-    check_containment(separable, grid)
-    values = separable.evaluate_grid([grid.space_coords()] * d)
     parameters = {"complexity": complexity}
     descriptor = {"family": "random_ensemble", "parameters": parameters, "seed": seed}
-    return SampledFunction(grid, values, _one_factor_sides(grid), descriptor, separable)
+    return sample_separable(SeparableSum(tuple(terms)), grid, descriptor)
 
 
 def dilate_first_axis(f: SampledFunction, t: float, p: ExponentLike) -> SampledFunction:
@@ -280,6 +286,7 @@ def near_delta_family(
         )
     fm = _as_mix(f)
     _check_terms(fm.terms, grid, SPACE, "first-factor")
+    _check_terms(fm.fourier().terms, grid, FREQUENCY, "first-factor")
     x = grid.space_coords()
     if shear:
         # x_i + x_j = 2 x_0 + (i + j) h, so the bump is Hankel: row i is the

@@ -26,10 +26,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import Exponent, ExponentLike, ExponentTuple, as_exponent, beckner_power
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
-from .grids import SPACE, GridSpec, SampledFunction
+from .grids import GridSpec
 from .inequalities import SUITE_TOL, bilinear_sides
 from .mixed_norms import MixedNormSpec, mixed_norm, spectrum_norm
-from .sampling import TAIL, GenerationError, check_containment, near_delta_family, shear_product
+from .sampling import TAIL, GenerationError, near_delta_family, sample_separable, shear_product
 from .transform import fourier
 
 __all__ = [
@@ -85,15 +85,6 @@ def _sweep_parameters(values: Sequence[float], name: str) -> tuple[float, ...]:
     return values
 
 
-def _fit_loglog(parameters: Sequence[float], observed: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope in log-log, plus the max absolute deviation."""
-    logx = np.log(np.asarray(parameters, dtype=float))
-    logy = np.log(np.asarray(observed, dtype=float))
-    slope, intercept = np.polyfit(logx, logy, 1)
-    residual = float(np.max(np.abs(logy - (slope * logx + intercept))))
-    return float(slope), residual
-
-
 def default_t_values() -> tuple[float, ...]:
     """Dilations 1, 1/2, ..., 1/32, halving each step."""
     return tuple(0.5**k for k in range(6))
@@ -117,20 +108,28 @@ def default_lambda_values() -> tuple[float, ...]:
 
 
 def _slope_report(
-    kind: str, parameters: tuple[float, ...], observed: list, expected: float, details: dict
+    kind: str, parameters: tuple[float, ...], observed: list, expected: float, details: dict,
+    verdict: tuple[bool, str] | None = None,
 ) -> SweepReport:
-    """Fit the log-log slope; pass within ``FLAT_TOL`` of a flat law, else ``SLOPE_TOL``."""
-    slope, residual = _fit_loglog(parameters, observed)
-    tol = FLAT_TOL if expected == 0.0 else SLOPE_TOL
+    """Fit the log-log slope by least squares, with the max absolute
+    deviation as the residual. The sweep passes within ``FLAT_TOL`` of a
+    flat law, else ``SLOPE_TOL``, unless ``verdict`` gives its own
+    ``(passed, criterion)``."""
+    logx = np.log(np.asarray(parameters, dtype=float))
+    logy = np.log(np.asarray(observed, dtype=float))
+    slope, intercept = map(float, np.polyfit(logx, logy, 1))
+    if verdict is None:
+        tol = FLAT_TOL if expected == 0.0 else SLOPE_TOL
+        verdict = (abs(slope - expected) <= tol, f"|fitted_slope - expected_slope| <= {tol}")
     return SweepReport(
         kind=kind,
         parameter_values=parameters,
         observed=tuple(observed),
         fitted_slope=slope,
         expected_slope=expected,
-        residual=residual,
-        passed=abs(slope - expected) <= tol,
-        criterion=f"|fitted_slope - expected_slope| <= {tol}",
+        residual=float(np.max(np.abs(logy - (slope * logx + intercept)))),
+        passed=verdict[0],
+        criterion=verdict[1],
         details=details,
     )
 
@@ -282,7 +281,6 @@ def delta_divergence_demo(
         lhs = spectrum_norm(F, lhs_spec)
         rhs = mixed_norm(F, rhs_spec)
         observed.append(lhs / rhs)
-    slope, residual = _fit_loglog(epsilon_values, observed)
 
     if shear:
         expected = -(1.0 - float(p.reciprocal))  # asymptotic exponent -1/p'
@@ -298,24 +296,14 @@ def delta_divergence_demo(
         passed = max(observed) <= ceiling
         criterion = f"ratios stay below the restriction bound {ceiling:.6g}"
         expected = 0.0
-    return SweepReport(
-        kind="delta",
-        parameter_values=epsilon_values,
-        observed=tuple(observed),
-        fitted_slope=slope,
-        expected_slope=expected,
-        residual=residual,
-        passed=passed,
-        criterion=criterion,
-        details={"p": str(p), "shear": shear, "grid": {"n": grid.n, "extent": grid.extent}},
+    return _slope_report(
+        "delta",
+        epsilon_values,
+        observed,
+        expected,
+        {"p": str(p), "shear": shear, "grid": {"n": grid.n, "extent": grid.extent}},
+        verdict=(passed, criterion),
     )
-
-
-def _dilated_product(scale: float, axis: int) -> SeparableSum:
-    """Standard 2-d product Gaussian with one axis dilated by ``scale``."""
-    factors = [GaussianTerm(1.0, 1.0), GaussianTerm(1.0, 1.0)]
-    factors[axis] = GaussianTerm(1.0, scale**2)
-    return SeparableSum((tuple(factors),))
 
 
 def necessity_sweep(
@@ -343,14 +331,11 @@ def necessity_sweep(
     lambda_values = _sweep_parameters(
         default_lambda_values() if lambda_values is None else lambda_values, "dilation scales"
     )
-    axis_index = 0 if axis == "first" else 1
-    x = grid.space_coords()
     observed = []
     for lam in lambda_values:
-        separable = _dilated_product(lam, axis_index)
-        check_containment(separable, grid)
-        values = separable.evaluate_grid([x, x])
-        F = SampledFunction(grid, values, (SPACE, SPACE))
+        factors = [GaussianTerm(1.0, 1.0), GaussianTerm(1.0, 1.0)]
+        factors[0 if axis == "first" else 1] = GaussianTerm(1.0, lam**2)
+        F = sample_separable(SeparableSum((tuple(factors),)), grid)
         lhs, bound = bilinear_sides(F, F, exponents)
         observed.append(lhs / bound)
 

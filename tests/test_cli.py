@@ -368,6 +368,19 @@ class TestSweep:
         config = json.loads(out.splitlines()[0].removeprefix("# config: "))
         assert config["exponents"] == exponents
 
+    def test_a_failing_necessity_axis_writes_no_file(self, capsys, monkeypatch, tmp_path):
+        real = cli.necessity_sweep
+
+        def second_fails(exponents, grid, axis):
+            if axis == "second":
+                raise ValueError("second axis failed")
+            return real(exponents, grid=grid, axis=axis)
+
+        monkeypatch.setattr(cli, "necessity_sweep", second_fails)
+        code, out, err = run(capsys, ["sweep", "necessity", "--out", str(tmp_path / "n.csv")])
+        assert (code, out, err) == (2, "", "error: second axis failed\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_sweep_exits_1(self, capsys, monkeypatch):
         failed = SweepReport(
             "blowup", (1.0, 0.5), (1.0, 1.1), 0.14, -0.25, 0.0, False, "slope check"
@@ -375,6 +388,23 @@ class TestSweep:
         monkeypatch.setattr(cli, "blowup_sweep", lambda p, s: failed)
         code, _, _ = run(capsys, ["sweep", "blowup"])
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "restriction", "--grid-l", "inf", "--trials", "1"],
+        ["verify", "restriction", "--grid-l", "1e308", "--trials", "1"],
+        ["verify", "hausdorff-young", "--grid-l", "1e200", "--trials", "1"],
+        ["verify", "restriction", "--grid-l", "1e-300", "--trials", "1"],
+        ["sweep", "delta", "--grid-l", "1e308"],
+    ],
+)
+def test_an_extreme_grid_extent_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 EXPONENT_FLAGS = ("--p", "--s", "--q", "--t", "--r")

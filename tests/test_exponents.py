@@ -110,6 +110,12 @@ class TestExponent:
         e = Exponent.from_reciprocal(a)
         assert e == e and not e != e
 
+    @given(reciprocals, reciprocals)
+    def test_order_runs_opposite_to_the_reciprocals(self, a, b):
+        ea, eb = Exponent.from_reciprocal(a), Exponent.from_reciprocal(b)
+        assert (ea < eb) == (a > b) and (ea > eb) == (a < b)
+        assert (ea <= eb) == (a >= b) and (ea >= eb) == (a <= b)
+
     @given(rationals)
     def test_conjugate_is_an_involution(self, value):
         e = Exponent(value)

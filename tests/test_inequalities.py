@@ -310,7 +310,7 @@ class TestValidation:
     def test_a_repeated_check_makes_no_fraction_comparison(self, monkeypatch):
         F = random_ensemble(GRID2, 6, seed=11)
         p, s = Exponent("4/3"), Exponent(2)
-        first = check_variant(F, p, s)
+        first = [check(F, p, s) for check in (check_variant, check_same_order)]
         calls = []
         for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
 
@@ -319,10 +319,65 @@ class TestValidation:
                 return compare(a, b)
 
             monkeypatch.setattr(Fraction, name, counted)
-        second = check_variant(F, p, s)
+        second = [check(F, p, s) for check in (check_variant, check_same_order)]
         monkeypatch.undo()
         assert calls == []
         assert second == first
+
+
+#: The seed-11 ensemble; each map below leaves its three ratios unchanged.
+ENSEMBLE = random_ensemble(GRID2, 6, seed=11)
+
+
+def three_ratios(values):
+    """Restriction (4/3), variant and same-order (4/3, 2) ratios of ``values``."""
+    G = ENSEMBLE.with_values(values)
+    return np.array([
+        check_restriction(G, "4/3").ratio,
+        check_variant(G, "4/3", 2).ratio,
+        check_same_order(G, "4/3", 2).ratio,
+    ])
+
+
+def modulated(values, bins, axis):
+    """``values`` times a plane wave of ``bins`` frequency bins along ``axis``:
+    a cyclic shift of the spectrum by ``bins`` along that axis."""
+    wave = np.exp(2j * np.pi * bins * GRID2.space_coords() / GRID2.extent)
+    return values * (wave[:, None] if axis == 0 else wave[None, :])
+
+
+class TestMetamorphic:
+    """Maps that permute the spectrum within each axis, or rotate its phase,
+    keep every ratio to 1e-12; a shift of the restriction's hyperplane does not."""
+
+    BASE = three_ratios(ENSEMBLE.values)
+
+    @settings(max_examples=6, deadline=None)
+    @given(shift=st.integers(1, GRID2.n - 1), axis=st.sampled_from([0, 1]))
+    def test_a_cyclic_shift(self, shift, axis):
+        shifted = np.roll(ENSEMBLE.values, shift, axis=axis)
+        np.testing.assert_allclose(three_ratios(shifted), self.BASE, rtol=1e-12, atol=0)
+
+    @settings(max_examples=4, deadline=None)
+    @given(phase=st.floats(0.0, 2.0 * math.pi))
+    def test_a_global_phase(self, phase):
+        rotated = np.exp(1j * phase) * ENSEMBLE.values
+        np.testing.assert_allclose(three_ratios(rotated), self.BASE, rtol=1e-12, atol=0)
+
+    def test_complex_conjugation(self):
+        conjugate = np.conj(ENSEMBLE.values)
+        np.testing.assert_allclose(three_ratios(conjugate), self.BASE, rtol=1e-12, atol=0)
+
+    @settings(max_examples=4, deadline=None)
+    @given(bins=st.integers(-16, 16).filter(bool))
+    def test_a_modulation_along_the_first_group(self, bins):
+        ratios = three_ratios(modulated(ENSEMBLE.values, bins, axis=0))
+        np.testing.assert_allclose(ratios, self.BASE, rtol=1e-12, atol=0)
+
+    def test_a_modulation_along_the_second_group_moves_only_the_restriction(self):
+        restriction, *others = three_ratios(modulated(ENSEMBLE.values, 3, axis=1))
+        assert abs(restriction / self.BASE[0] - 1) > 0.1
+        np.testing.assert_allclose(others, self.BASE[1:], rtol=1e-12, atol=0)
 
 
 class TestStructure:

@@ -10,6 +10,8 @@ from mixnorm.gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaus
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
+    TAIL,
+    _ensemble_scale_bounds,
     _periodized_bump,
     dilate_first_axis,
     gaussian_product,
@@ -113,6 +115,24 @@ class TestRandomEnsemble:
         tiny = GridSpec(1, 0, 32, 16.0)
         with pytest.raises(GenerationError):
             random_ensemble(tiny, 2, seed=0)
+
+    @pytest.mark.parametrize("extent", [1e-300, 1e-160, 1e160, 1e200, 1e308])
+    def test_extent_without_normal_scales_rejected(self, extent):
+        with pytest.raises(GenerationError, match="no normal-float scales"):
+            random_ensemble(GridSpec(1, 1, 256, extent), 2, seed=0)
+
+    @pytest.mark.parametrize("n", [256, 1000, 4096])
+    @pytest.mark.parametrize("power", [-8, -1, 0, 3, 4, 5, 10, 60])
+    def test_scale_bounds_keep_their_bits_at_dyadic_extents(self, n, power):
+        """Dividing by a power-of-two extent twice rounds as dividing by its
+        square did, so ensembles on such grids keep every bit."""
+        extent = 2.0**power
+        log_tail = math.log(1.0 / TAIL)
+        squared = (
+            16.0 * log_tail / (math.pi * extent**2),
+            math.pi * n**2 / (16.0 * extent**2 * log_tail),
+        )
+        assert _ensemble_scale_bounds(GridSpec(1, 1, n, extent)) == squared
 
     def test_one_group_shapes(self):
         f = random_ensemble(GRID1, 4, seed=5)
@@ -380,6 +400,11 @@ class TestNearDelta:
         outer = np.outer(col, row)
         rebuilt = outer / np.abs(F.values[GRID2.n // 4, GRID2.n // 2])
         np.testing.assert_allclose(np.abs(F.values), rebuilt, atol=1e-12)
+
+    def test_first_factor_must_fit_the_frequency_side(self):
+        narrow = GaussianMix((GaussianTerm(1.0, 1e4),))
+        with pytest.raises(GenerationError, match="first-factor frequency-side"):
+            near_delta_family(GRID2, narrow, epsilon=0.5)
 
     def test_epsilon_floor(self):
         f = gaussian_product(GRID1, [1.0])

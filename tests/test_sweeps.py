@@ -229,7 +229,7 @@ class TestNecessitySweep:
 
     def test_non_positive_scales_rejected_before_sampling(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(sweeps, "check_containment", lambda *args: calls.append(args))
+        monkeypatch.setattr(sweeps, "sample_separable", lambda *args: calls.append(args))
         for scales in ((-2.0, -1.0, -0.5), (0.0, 1.0), (1.0, 2.0, -1.0)):
             with pytest.raises(ValueError, match="dilation scales must be positive"):
                 necessity_sweep(self.ADMISSIBLE, lambda_values=scales)
@@ -264,7 +264,7 @@ class TestNecessitySweep:
     [
         (lambda v: blowup_sweep(2, "4/3", v), "shear_product"),
         (lambda v: delta_divergence_demo(2, v), "near_delta_family"),
-        (lambda v: necessity_sweep(TestNecessitySweep.ADMISSIBLE, v), "check_containment"),
+        (lambda v: necessity_sweep(TestNecessitySweep.ADMISSIBLE, v), "sample_separable"),
     ],
     ids=["blowup", "delta", "necessity"],
 )

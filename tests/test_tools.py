@@ -26,6 +26,15 @@ def test_every_digest_invocation_parses():
         parser.parse_args(argv)  # argparse exits on an unknown flag or choice
 
 
+def test_digests_run_every_target():
+    """A new ``verify`` or ``sweep`` target cannot ship without digest coverage."""
+    invocations = _load(DIGESTS).INVOCATIONS
+    covered = {tuple(argv[:2]) for argv in invocations}
+    for command, targets in cli._TARGETS.items():
+        assert {(command, target) for target in targets} <= covered
+    assert any(argv[0] == "constants" for argv in invocations)
+
+
 def test_digests_pass_every_flag_of_every_target(target_flags):
     invocations = _load(DIGESTS).INVOCATIONS
     for (command, target), flags in target_flags.items():

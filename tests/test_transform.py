@@ -127,6 +127,11 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="second factor"):
             GridSpec(1, -1)
 
+    @pytest.mark.parametrize("extent", [0.0, -16.0, math.inf, -math.inf, math.nan])
+    def test_extent_must_be_positive_and_finite(self, extent):
+        with pytest.raises(ValueError, match="extent must be positive and finite"):
+            GridSpec(1, 1, 256, extent)
+
 
 class TestSampledFunction:
     def test_wrong_shape_rejected(self):
