@@ -6,10 +6,10 @@ Exponents live in [1, inf] and are stored through their reciprocals in
 exact ``Fraction``: a float input becomes the rational it represents
 exactly, so the exponent relations are decided without any tolerance.
 
-An ``Exponent`` is immutable, so what is derived from its reciprocal (its
-float, hash, string, conjugate and sharp constant) is computed once per
-instance, on first use, and kept; an ``ExponentTuple`` likewise decides
-its admissibility once. Equal exponents derive equal values.
+There is one ``Exponent`` per reciprocal, so equal exponents are the same
+object and compare and hash by identity. Its float, string, conjugate and
+sharp constant are set when it is made; an ``ExponentTuple`` decides its
+admissibility once.
 """
 
 from __future__ import annotations
@@ -38,37 +38,57 @@ ExponentLike = Union["Exponent", int, float, str, Fraction]
 class Exponent:
     """A Lebesgue exponent in [1, inf], held through its reciprocal."""
 
-    # Every slot but _recip is a cache, filled on first use.
-    __slots__ = ("_recip", "_float", "_hash", "_str", "_conjugate", "_beckner")
+    __slots__ = ("_recip", "_float", "_str", "_conjugate", "_beckner")
 
-    def __init__(self, value: ExponentLike):
+    #: The one instance per reciprocal, for each distinct exponent made.
+    _instances: dict[Fraction, "Exponent"] = {}
+
+    def __new__(cls, value: ExponentLike):
         if isinstance(value, Exponent):
-            self._recip = value._recip
-            return
+            return value
         if isinstance(value, str):
             text = value.strip()
             if text.lower() in ("inf", "infinity", "oo"):
-                self._recip = Fraction(0)
-                return
-            value = Fraction(text)  # handles "4/3", "2", "1.5"
+                return cls.from_reciprocal(Fraction(0))
+            try:
+                value = Fraction(text)  # handles "4/3", "2", "1.5"
+            except ZeroDivisionError:
+                raise ValueError(f"exponent {text!r} has a zero denominator") from None
         if isinstance(value, bool):
             raise TypeError("booleans are not exponents")
         if not isinstance(value, (int, float, Fraction)):
             raise TypeError(f"cannot build an exponent from {value!r}")
         if value == math.inf:
-            self._recip = Fraction(0)
-            return
+            return cls.from_reciprocal(Fraction(0))
         if not value >= 1:  # also rejects nan and -inf
             raise ValueError(f"exponent must be >= 1, got {value}")
-        self._recip = 1 / Fraction(value)
+        return cls.from_reciprocal(1 / Fraction(value))
 
     @classmethod
     def from_reciprocal(cls, recip: Fraction) -> "Exponent":
-        """Build from a reciprocal in [0, 1]."""
+        """The exponent whose reciprocal is ``recip``, in [0, 1]."""
+        e = cls._instances.get(recip)
+        if e is not None:
+            return e
         if not 0 <= recip <= 1:
             raise ValueError(f"reciprocal must lie in [0, 1], got {recip}")
-        e = cls.__new__(cls)
-        e._recip = Fraction(recip)
+        e = object.__new__(cls)
+        e._recip = recip = Fraction(recip)
+        e._str = str(e.value)  # str(math.inf) is "inf"
+        try:
+            e._float = float(e.value)
+        except OverflowError:  # an exponent past the largest float reads as inf
+            e._float = math.inf
+        e._beckner = None  # the sharp constant, defined for r in [1, 2] alone
+        if recip == Fraction(1, 2) or e._float == 1.0:  # 1, or within 3e-15 of it
+            e._beckner = 1.0
+        elif Fraction(1, 2) < recip < 1:
+            rv, tv = e._float, e._float / (e._float - 1.0)
+            e._beckner = rv ** (1.0 / (2.0 * rv)) * tv ** (-1.0 / (2.0 * tv))
+        # The code is single-threaded, so the insert always stores e. The
+        # conjugate is made after it, so that its own conjugate finds e.
+        e = cls._instances.setdefault(recip, e)
+        e._conjugate = cls.from_reciprocal(1 - recip)
         return e
 
     @property
@@ -82,40 +102,14 @@ class Exponent:
 
     def conjugate(self) -> "Exponent":
         """The exponent a' with 1/a + 1/a' = 1 (conjugate of 1 is inf)."""
-        try:
-            return self._conjugate
-        except AttributeError:
-            self._conjugate = Exponent.from_reciprocal(1 - self._recip)
-            return self._conjugate
+        return self._conjugate
 
     def __float__(self) -> float:
-        try:
-            return self._float
-        except AttributeError:
-            self._float = float(self.value)
-            return self._float
+        return self._float
 
-    # Exponents compare only with exponents: a number equal to one would
-    # need its hash, and 0.5 or "abc" is no exponent at all. A Fraction is
-    # kept in lowest terms, so equal reciprocals have equal numerators and
-    # denominators, and comparing those ints skips Fraction.__eq__.
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        a, b = self._recip, other._recip
-        return a.numerator == b.numerator and a.denominator == b.denominator
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self._recip)
-            return self._hash
-
-    # Reciprocals reverse the order: larger exponent, smaller reciprocal.
-    # Denominators are positive, so cross-multiplied ints order them.
+    # Equality and hashing are identity, one instance per value, so no number
+    # equals an exponent. Reciprocals reverse the order, and as denominators
+    # are positive, cross-multiplied ints order them.
     def __lt__(self, other) -> bool:
         if not isinstance(other, Exponent):
             return NotImplemented
@@ -123,16 +117,12 @@ class Exponent:
         return a.numerator * b.denominator > b.numerator * a.denominator
 
     def __str__(self) -> str:
-        try:
-            return self._str
-        except AttributeError:
-            self._str = "inf" if self._recip == 0 else str(self.value)
-            return self._str
+        return self._str
 
     def __repr__(self) -> str:
-        return f"Exponent({str(self)!r})"
+        return f"Exponent({self._str!r})"
 
-    # Rebuilt from the reciprocal alone, under every pickle protocol.
+    # Under every pickle protocol, the reciprocal finds the one instance.
     def __reduce__(self):
         return (Exponent.from_reciprocal, (self._recip,))
 
@@ -216,24 +206,12 @@ def beckner_constant(r: ExponentLike) -> float:
 
     Equals ``r**(1/2r) * (r')**(-1/2r')`` with ``r'`` the conjugate
     exponent; Gaussians attain it. The value is below 1 strictly inside
-    (1, 2) and exactly 1 at both endpoints, which are returned in closed
-    form to avoid evaluating the limit expressions. The exponent keeps the
-    value after its first call.
+    (1, 2) and exactly 1 at both endpoints. It is set when the exponent is
+    made, the endpoints in closed form to avoid the limit expressions.
     """
     e = as_exponent(r)
-    try:
-        return e._beckner
-    except AttributeError:
-        pass
-    recip = e.reciprocal
-    if not Fraction(1, 2) <= recip <= 1:
+    if e._beckner is None:
         raise ValueError(f"sharp constant is defined for exponents in [1, 2], got {e}")
-    if recip == 1 or recip == Fraction(1, 2):
-        e._beckner = 1.0
-    else:
-        rv = float(e)
-        tv = rv / (rv - 1.0)
-        e._beckner = rv ** (1.0 / (2.0 * rv)) * tv ** (-1.0 / (2.0 * tv))
     return e._beckner
 
 

@@ -97,10 +97,12 @@ class RatioReport:
     descriptors: dict = field(default_factory=dict)
 
     def json_dict(self) -> dict:
+        """The row as JSON values: a non-finite side, which only a degenerate
+        row holds, is written as null, as its ratio is."""
         return {
             "inequality_id": self.inequality_id,
-            "lhs": self.lhs,
-            "bound": self.bound,
+            "lhs": self.lhs if math.isfinite(self.lhs) else None,
+            "bound": self.bound if math.isfinite(self.bound) else None,
             "ratio": self.ratio,
             "tolerance": SUITE_TOL,
             "pass": self.passed,

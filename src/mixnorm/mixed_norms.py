@@ -97,6 +97,9 @@ def _powers(values: np.ndarray, a: float, top: float | None = None) -> np.ndarra
 _BLOCK_BYTES = 4 << 20
 
 
+# An overflow in a reduction gives an infinite side, which marks the report
+# degenerate, so it is not warned about.
+@np.errstate(over="ignore")
 def _inner_stages(
     values: np.ndarray, layers: list[tuple[tuple[int, ...], float]], e: Exponent
 ) -> list[np.ndarray]:
@@ -182,6 +185,7 @@ def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
     return _magnitude_norm(np.abs(F.values), weight, as_exponent(a))
 
 
+@np.errstate(over="ignore")
 def _magnitude_norm(magnitude: np.ndarray, weight: float, a: Exponent) -> float:
     """The L^a norm over every axis of an array of magnitudes with cell weight ``weight``."""
     a = float(a)

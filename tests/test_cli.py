@@ -587,6 +587,33 @@ class TestConsoleScript:
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "restriction", "--p", "1/0", "--trials", "1"],
+            ["verify", "restriction", "--p", "0/0", "--trials", "1"],
+            ["constants", "--r", "1/0"],
+            ["sweep", "delta", "--p", "1/0"],
+        ],
+    )
+    def test_a_zero_denominator_exits_2_with_one_error_line(self, argv):
+        result = run_module(*argv)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("inequality", ["restriction", "bilinear", "variant", "same-order"])
+    def test_a_degenerate_check_writes_strict_json_and_no_warning(self, inequality):
+        # at extent 1e150 the norms overflow, which makes the rows degenerate
+        result = run_module("verify", inequality, "--grid-l", "1e150", "--trials", "1")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        lines = [json.loads(line, parse_constant=reject) for line in result.stdout.splitlines()]
+        assert (result.returncode, result.stderr) == (0, "")
+        assert lines[-1]["summary"]["degenerate"] > 0
+
     @pytest.mark.skipif(
         shutil.which("mixnorm") is None, reason="mixnorm script is not installed"
     )

@@ -27,17 +27,17 @@ reciprocals = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 
 
 def derived(e: Exponent) -> tuple:
-    """Every value an exponent keeps after first use, floats as their bits."""
-    values = (float(e).hex(), hash(e), str(e), e.conjugate().reciprocal)
+    """Every value set when an exponent is made, floats as their bits."""
+    values = (float(e).hex(), str(e), e.conjugate().reciprocal)
     if Exponent(1) <= e <= Exponent(2):
         values += (beckner_constant(e).hex(),)
     return values
 
 
 def derived_directly(recip: Fraction) -> tuple:
-    """The same values from the reciprocal alone, with no cache in play."""
+    """The same values from the reciprocal alone, with no exponent in play."""
     value = math.inf if recip == 0 else 1 / recip
-    values = (float(value).hex(), hash(recip), "inf" if recip == 0 else str(value), 1 - recip)
+    values = (float(value).hex(), "inf" if recip == 0 else str(value), 1 - recip)
     if Fraction(1, 2) <= recip <= 1:
         if recip in (1, Fraction(1, 2)):
             constant = 1.0
@@ -70,6 +70,18 @@ class TestExponent:
         with pytest.raises(ValueError):
             Exponent.from_reciprocal(Fraction(3, 2))
 
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])
+    def test_a_zero_denominator_is_a_value_error_naming_the_text(self, text):
+        with pytest.raises(ValueError, match=f"exponent '{text.strip()}' has a zero denominator"):
+            Exponent(text)
+
+    def test_values_at_the_ends_of_the_float_range_are_made(self):
+        # every derived value is set when the exponent is made, so none may raise
+        huge = Exponent(10**400)
+        assert float(huge) == math.inf and huge.conjugate().conjugate() is huge
+        near_one = Exponent(1 + Fraction(1, 2**60))
+        assert float(near_one) == 1.0 and beckner_constant(near_one) == 1.0
+
     def test_rejects_negative_infinity_and_nan(self):
         with pytest.raises(ValueError):
             Exponent(-math.inf)
@@ -99,14 +111,14 @@ class TestExponent:
 
     @given(reciprocals, reciprocals)
     def test_equality_and_hash_agree_with_the_reciprocals(self, a, b):
-        # distinct objects throughout, so the identity shortcut decides nothing
+        # the second reciprocal is a new Fraction, so only its value is shared
         for x, y in ((a, b), (a, a), (b, b)):
             ex, ey = Exponent.from_reciprocal(x), Exponent.from_reciprocal(Fraction(str(y)))
-            assert ex is not ey
+            assert (ex is ey) == (x == y)
             assert (ex == ey) == (x == y) and (ex != ey) == (x != y)
             assert (ey == ex) == (x == y)
             if x == y:
-                assert hash(ex) == hash(ey) == hash(x)
+                assert hash(ex) == hash(ey)
         e = Exponent.from_reciprocal(a)
         assert e == e and not e != e
 
@@ -141,27 +153,36 @@ class TestExponent:
 
 
 class TestKeptValues:
-    """An exponent keeps its float, hash, string, conjugate and sharp
-    constant after first use; kept values equal fresh ones bit for bit."""
+    """There is one exponent per reciprocal, and its float, string,
+    conjugate and sharp constant, set when it is made, equal a direct
+    derivation bit for bit."""
 
     @given(reciprocals)
     def test_kept_values_match_a_direct_derivation(self, recip):
         e = Exponent.from_reciprocal(recip)
-        expected = derived_directly(recip)
-        assert derived(e) == expected  # first use derives
-        assert derived(e) == expected  # later uses read what was kept
-        assert e.conjugate() is e.conjugate()
+        assert derived(e) == derived_directly(recip)
+        assert e.conjugate().conjugate() is e
 
     @given(reciprocals)
     def test_pickle_and_deepcopy_keep_equality_and_hash(self, recip):
         e = Exponent.from_reciprocal(recip)
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
-        for _ in range(2):  # before any value is kept, then with all of them
-            twins = [pickle.loads(pickle.dumps(e, protocol)) for protocol in protocols]
-            for twin in (*twins, copy.deepcopy(e)):
-                assert twin == e and hash(twin) == hash(e)
-                assert derived(twin) == derived_directly(recip)
-            derived(e)
+        twins = [pickle.loads(pickle.dumps(e, protocol)) for protocol in protocols]
+        for twin in (*twins, copy.deepcopy(e), copy.copy(e)):
+            assert twin is e
+
+    @given(reciprocals)
+    def test_every_spelling_of_a_reciprocal_is_one_object(self, recip):
+        e = Exponent.from_reciprocal(recip)
+        value = math.inf if recip == 0 else 1 / recip
+        spellings = [Exponent(str(e)), Exponent(value), Exponent(e), as_exponent(value)]
+        spellings += [Exponent.from_reciprocal(Fraction(str(recip))), copy.deepcopy(e)]
+        if value == math.inf or float(value) == value:  # the float is exact
+            spellings.append(Exponent(float(value)))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            spellings.append(pickle.loads(pickle.dumps(Exponent(value), protocol)))
+        assert all(twin is e for twin in spellings)
+        assert e.conjugate().conjugate() is e and e.conjugate().reciprocal == 1 - recip
 
     @given(reciprocals)
     def test_text_and_fraction_inputs_agree_on_every_kept_value(self, recip):

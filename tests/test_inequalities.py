@@ -294,13 +294,12 @@ class TestValidation:
                 return False
             return True
 
-        # separate objects, so that the constant kept by one call is not read by the other
-        p, s = (Exponent.from_reciprocal(a) for a in reciprocals)
+        p, s = map(Exponent.from_reciprocal, reciprocals)
         expected = all(defined(e) for e in (p, s)[: len(INEQUALITIES[inequality_id].exponents)])
         if inequality_id == "same_order":
             expected = expected and p <= s
         try:
-            inequalities._selections(inequality_id, *map(Exponent.from_reciprocal, reciprocals))
+            inequalities._selections(inequality_id, p, s)
         except ValueError:
             accepted = False
         else:
@@ -432,7 +431,6 @@ class TestStructure:
         report = check_restriction(zero, "4/3")
         assert report.degenerate and not report.passed and report.ratio is None
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_product_is_degenerate(self):
         # at 2^600 each factor is finite but F·G overflows
         scale = 2.0**600
@@ -443,7 +441,6 @@ class TestStructure:
             report = check_bilinear(F, G, exps)
             assert report.degenerate and not report.passed and report.ratio is None
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("k", [1022, 1023])
     def test_overflowing_marginal_is_degenerate(self, k):
         # F is finite, but its x''-marginal overflows
@@ -452,7 +449,6 @@ class TestStructure:
         report = check_restriction(F, "4/3")
         assert report.degenerate and not report.passed and report.ratio is None
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_slice_transform_is_infinite_and_not_kept(self):
         # the marginal, 2^1019, is finite; its 256-point DFT sum is not
         F = SampledFunction(GRID2, np.full(GRID2.shape, 2.0**1015, complex), (SPACE, SPACE))

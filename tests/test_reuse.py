@@ -9,6 +9,7 @@ Every fast path is compared with a direct computation on a fresh object:
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,8 +346,8 @@ class TestTracerView:
 
 
 class CountingSlot:
-    """Stands in for one of ``Exponent``'s kept-value slots and counts the
-    values stored into it, one per derivation."""
+    """Stands in for one of ``Exponent``'s slots and counts the values
+    stored into it."""
 
     def __init__(self, slot):
         self.slot, self.stores = slot, 0
@@ -360,26 +361,30 @@ class CountingSlot:
 
 
 class TestExponentDerivations:
-    """``run_suite`` derives each exponent's float, hash, string, conjugate
-    and sharp constant once per call, however many functions it checks."""
+    """An exponent's float, string, conjugate and sharp constant are set
+    when it is made, so once a 1-trial ``run_suite`` has made its exponents,
+    a 40-trial one stores nothing into any of an exponent's slots."""
 
-    KEPT = ("_float", "_hash", "_str", "_conjugate", "_beckner")
-
-    def derivations(self, monkeypatch, inequality, count):
-        grid = GridSpec.default(d2=0) if inequality == "hausdorff_young" else GRID
-        kwargs = {"p": "4/3", "s": "3/2"}
-        if inequality == "bilinear":
-            kwargs = {"exponent_tuples": random_admissible_tuples(2, 77)}
-        slots = {name: CountingSlot(Exponent.__dict__[name]) for name in self.KEPT}
+    def stores(self, monkeypatch, run) -> dict:
+        slots = {name: CountingSlot(Exponent.__dict__[name]) for name in Exponent.__slots__}
         with monkeypatch.context() as patch:
             for name, slot in slots.items():
                 patch.setattr(Exponent, name, slot)
-            run_suite(inequality, ensemble_stream(grid, count, 500), **kwargs)
+            run()
         return {name: slot.stores for name, slot in slots.items()}
 
     @pytest.mark.parametrize("inequality", INEQUALITY_IDS)
     def test_count_does_not_grow_with_the_trials(self, monkeypatch, inequality):
-        self.derivations(monkeypatch, inequality, 1)  # module constants keep theirs
-        few = self.derivations(monkeypatch, inequality, 4)
-        assert min(few["_str"], few["_conjugate"], few["_beckner"]) > 0
-        assert self.derivations(monkeypatch, inequality, 40) == few
+        grid = GridSpec.default(d2=0) if inequality == "hausdorff_young" else GRID
+        kwargs = {"p": "4/3", "s": "3/2"}
+        if inequality == "bilinear":
+            kwargs = {"exponent_tuples": random_admissible_tuples(2, 77)}
+        run_suite(inequality, ensemble_stream(grid, 1, 500), **kwargs)
+        many = self.stores(
+            monkeypatch, lambda: run_suite(inequality, ensemble_stream(grid, 40, 500), **kwargs)
+        )
+        assert set(many.values()) == {0}
+        # the counters do see an exponent being made: 1/n is new for n above every denominator
+        n = 2 * max(recip.denominator for recip in Exponent._instances) + 1
+        made = self.stores(monkeypatch, lambda: Exponent.from_reciprocal(Fraction(1, n)))
+        assert min(made.values()) > 0
