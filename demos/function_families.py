@@ -12,7 +12,6 @@ from mixnorm import (
     GenerationError,
     GridSpec,
     SampledFunction,
-    dilate_first_axis,
     gaussian_product,
     near_delta_family,
     random_ensemble,
@@ -39,17 +38,16 @@ for name, F in families.items():
           f"family tag '{F.descriptor['family']}'")
 
 # ----------------------------------------------------------------------
-# Containment: a dilation that would overflow the grid is refused, and
-# the error names the extent that would have been needed
+# Containment: a Gaussian too wide for the grid is refused, and the
+# error names the extent that would have been needed
 
-f = gaussian_product(grid1, [1.0])
-narrow = dilate_first_axis(f, 4.0, 2)  # fine: support shrinks
+narrow = gaussian_product(grid1, [16.0])  # fine: e^{-pi (4x)^2} fits easily
 print()
-print(f"dilation t=4 accepted, peak {float(np.max(np.abs(narrow.values))):.4f}")
+print(f"scale 16 accepted, peak {float(np.max(np.abs(narrow.values))):.4f}")
 try:
-    dilate_first_axis(f, 1.0 / 16.0, 2)  # support ~16x wider than the grid
+    gaussian_product(grid1, [1.0 / 256.0])  # e^{-pi (x/16)^2}: 16x the unit width
 except GenerationError as error:
-    print(f"dilation t=1/16 refused: {error}")
+    print(f"scale 1/256 refused: {error}")
 
 # ----------------------------------------------------------------------
 # Descriptors make trials reproducible: save the values plus a JSON

@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_sweep(args)
-    except ValueError as error:  # inadmissible exponents and sampling errors among them
+    except (ValueError, OSError) as error:  # bad exponents, sampling errors, unwritable --out
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -103,8 +103,8 @@ class SampledFunction:
     partially transformed functions are representable. ``descriptor`` is
     the recipe dict that ``sampling`` builds and rebuilds the function
     from, or None. ``analytic`` optionally carries the closed-form object
-    behind the samples; the dilation and shear constructors require it
-    for exact re-evaluation.
+    behind the samples: ``sampling.sample_separable`` keeps the separable
+    Gaussian sum it sampled.
     A function is immutable: ``values`` is stored read-only, and
     reassigning any field raises ``dataclasses.FrozenInstanceError``.
     A complex128 array is adopted, not copied: ``values`` is the caller's

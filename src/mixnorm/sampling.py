@@ -1,16 +1,16 @@
 """Generators for the test-function families used by the harnesses.
 
-All families are built from closed-form Gaussian mixtures, so dilations
-and shears re-evaluate the analytic object at the new arguments instead
-of interpolating arrays. Every generator enforces that the essential
-mass of the function, on both the space and the frequency side, stays
-inside the grid; a family that does not fit raises ``GenerationError``
-naming the space or frequency extent that would be needed.
+All families are built from closed-form Gaussian mixtures, so the
+sheared families evaluate their factors in closed form at the sheared
+arguments instead of interpolating arrays. Every generator enforces that
+the essential mass of the function, on both the space and the frequency
+side, stays inside the grid; a family that does not fit raises
+``GenerationError`` naming the space or frequency extent that would be
+needed.
 
 Each generator tags its function with a descriptor, the plain dict
-``{"family", "parameters", "seed"}`` that ``sample_descriptor`` rebuilds
-the function from; a family built on other functions nests their
-descriptors in its parameters.
+``{"family", "parameters", "seed"}``; ``sample_descriptor`` rebuilds a
+Gaussian product or a random ensemble from it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exponents import ExponentLike, as_exponent
 from .gaussians import GaussianMix, GaussianTerm, SeparableSum
 from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 
@@ -30,7 +29,6 @@ __all__ = [
     "GenerationError",
     "gaussian_product",
     "random_ensemble",
-    "dilate_first_axis",
     "shear_product",
     "near_delta_family",
     "sample_descriptor",
@@ -65,29 +63,31 @@ class GenerationError(ValueError):
         super().__init__(message)
 
 
-def _check_terms(terms: Sequence[GaussianTerm], grid: GridSpec, side: str, label: str) -> None:
-    """Reject terms whose mass on ``side`` leaks outside the grid.
+def _check_terms(terms: Sequence[GaussianTerm], grid: GridSpec, label: str) -> None:
+    """Reject terms whose mass leaks outside the grid, checking the space
+    side and then the frequency side.
 
     Only a space-side leak sets ``required_extent``; a frequency-side
     leak names the frequency extent it needs, which is not a space extent.
     """
-    radius = (grid.extent if side == SPACE else grid.freq_extent) / 2.0
-    worst = max(term.mass_fraction_outside(radius) for term in terms)
-    if worst <= TAIL_FRACTION_LIMIT:
-        return
-    needed = 2.0 * max(term.support_radius(TAIL) for term in terms)
-    message = f"{label} {side}-side mass leaks outside the grid (fraction {worst:.3g})"
-    if side == SPACE:
-        raise GenerationError(message, required_extent=needed)
-    raise GenerationError(f"{message}; refine the grid (need frequency extent >= {needed:.4g})")
+    for side, side_terms, extent in (
+        (SPACE, terms, grid.extent),
+        (FREQUENCY, [term.fourier() for term in terms], grid.freq_extent),
+    ):
+        worst = max(term.mass_fraction_outside(extent / 2.0) for term in side_terms)
+        if worst <= TAIL_FRACTION_LIMIT:
+            continue
+        needed = 2.0 * max(term.support_radius(TAIL) for term in side_terms)
+        message = f"{label} {side}-side mass leaks outside the grid (fraction {worst:.3g})"
+        if side == SPACE:
+            raise GenerationError(message, required_extent=needed)
+        raise GenerationError(f"{message}; refine the grid (need frequency extent >= {needed:.4g})")
 
 
 def check_containment(separable: SeparableSum, grid: GridSpec) -> None:
     """Space- and frequency-side containment, axis by axis."""
-    transformed = separable.fourier()
     for axis in range(separable.ndim):
-        _check_terms(separable.axis_terms(axis), grid, SPACE, f"axis {axis}")
-        _check_terms(transformed.axis_terms(axis), grid, FREQUENCY, f"axis {axis}")
+        _check_terms(separable.axis_terms(axis), grid, f"axis {axis}")
 
 
 def sample_separable(
@@ -98,19 +98,6 @@ def sample_separable(
     values = separable.evaluate_grid([grid.space_coords()] * grid.ndim)
     sides = (SPACE,) if grid.d2 == 0 else (SPACE, SPACE)
     return SampledFunction(grid, values, sides, descriptor, separable)
-
-
-def _as_mix(f: SampledFunction | GaussianMix) -> GaussianMix:
-    if isinstance(f, GaussianMix):
-        return f
-    analytic = getattr(f, "analytic", None)
-    if isinstance(analytic, GaussianMix):
-        return analytic
-    if isinstance(analytic, SeparableSum) and analytic.ndim == 1:
-        return GaussianMix(analytic.axis_terms(0))
-    raise TypeError(
-        "an analytic one-factor Gaussian family is required for exact re-evaluation"
-    )
 
 
 def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction:
@@ -183,53 +170,23 @@ def random_ensemble(grid: GridSpec, complexity: int, seed: int) -> SampledFuncti
     return sample_separable(SeparableSum(tuple(terms)), grid, descriptor)
 
 
-def dilate_first_axis(f: SampledFunction, t: float, p: ExponentLike) -> SampledFunction:
-    """Sample ``t**(1/p) f(t x)`` by exact analytic re-evaluation.
-
-    The continuum L^p norm of the result equals that of ``f``. Rejects
-    dilations whose essential support or bandwidth leaves the grid of
-    ``f``, reporting what the grid would need.
-    """
-    if not t > 0:
-        raise ValueError(f"dilation parameter must be positive, got {t}")
-    exponent = as_exponent(p)
-    mix = _as_mix(f)
-    grid = f.grid
-    if grid.d2 != 0 or grid.d1 != 1:
-        raise ValueError("dilation acts on one-factor functions")
-    dilated = mix.dilate(float(t), float(exponent.reciprocal))
-    _check_terms(dilated.terms, grid, SPACE, "dilated")
-    _check_terms(dilated.fourier().terms, grid, FREQUENCY, "dilated")
-    values = dilated.evaluate(grid.space_coords())
-    base = getattr(f, "descriptor", None)
-    parameters = {"kind": "dilate", "t": float(t), "p": str(exponent), "base": base}
-    descriptor = {"family": "dilation_shear", "parameters": parameters, "seed": None}
-    return SampledFunction(grid, values, (SPACE,), descriptor, dilated)
-
-
-def shear_product(
-    f_first: SampledFunction | GaussianMix,
-    g_second: SampledFunction | GaussianMix,
-    grid: GridSpec,
-) -> SampledFunction:
+def shear_product(f_first: GaussianMix, g_second: GaussianMix, grid: GridSpec) -> SampledFunction:
     """Sample the sheared product ``F(x, y) = f(x) g(y - x)`` exactly.
 
-    Both inputs must be analytic one-factor families; the sheared second
-    argument is evaluated in closed form at the 2n - 1 grid lags. Fails when
-    the sheared support or the combined bandwidth leaves the grid.
+    The sheared second argument is evaluated in closed form at the 2n - 1
+    grid lags. Fails when the sheared support or the combined bandwidth
+    leaves the grid.
     """
     if grid.d1 != 1 or grid.d2 != 1:
         raise ValueError("the shear construction needs a 1+1 dimensional grid")
-    fm = _as_mix(f_first)
-    gm = _as_mix(g_second)
-    r_f = fm.support_radius(RADIUS_TAIL)
-    r_g = gm.support_radius(RADIUS_TAIL)
+    r_f = f_first.support_radius(RADIUS_TAIL)
+    r_g = g_second.support_radius(RADIUS_TAIL)
     if r_f + r_g > grid.extent / 2.0:
         raise GenerationError(
             "sheared support leaves the grid", required_extent=2.0 * (r_f + r_g)
         )
-    b_f = fm.bandwidth_radius(RADIUS_TAIL)
-    b_g = gm.bandwidth_radius(RADIUS_TAIL)
+    b_f = f_first.bandwidth_radius(RADIUS_TAIL)
+    b_g = g_second.bandwidth_radius(RADIUS_TAIL)
     if b_f + b_g > grid.freq_extent / 2.0:
         raise GenerationError(
             "sheared bandwidth exceeds the frequency extent; refine the grid "
@@ -237,12 +194,10 @@ def shear_product(
         )
     # On the uniform grid x_j - x_i = (j - i) h, so g(y - x) is Toeplitz:
     # row i is the window of the 2n - 1 lag values starting at lag -i.
-    lags = gm.evaluate(grid.spacing * np.arange(1 - grid.n, grid.n))
+    lags = g_second.evaluate(grid.spacing * np.arange(1 - grid.n, grid.n))
     toeplitz = sliding_window_view(lags, grid.n)[::-1]
-    values = fm.evaluate(grid.space_coords())[:, None] * toeplitz
-    f_base, g_base = getattr(f_first, "descriptor", None), getattr(g_second, "descriptor", None)
-    parameters = {"kind": "shear", "f": f_base, "g": g_base}
-    descriptor = {"family": "dilation_shear", "parameters": parameters, "seed": None}
+    values = f_first.evaluate(grid.space_coords())[:, None] * toeplitz
+    descriptor = {"family": "shear", "parameters": {}, "seed": None}
     return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
 
 
@@ -263,10 +218,7 @@ def _periodized_bump(u: np.ndarray, epsilon: float, period: float) -> np.ndarray
 
 
 def near_delta_family(
-    grid: GridSpec,
-    f: SampledFunction | GaussianMix,
-    epsilon: float,
-    shear: bool = True,
+    grid: GridSpec, f: GaussianMix, epsilon: float, shear: bool = True
 ) -> SampledFunction:
     """Couple ``f`` with a unit-mass bump: ``F(x, y) = f(x) d_eps(y + x)``.
 
@@ -284,9 +236,7 @@ def near_delta_family(
             f"epsilon {epsilon:.4g} below the resolvability threshold "
             f"{2.0 * grid.spacing:.4g}; refine the grid"
         )
-    fm = _as_mix(f)
-    _check_terms(fm.terms, grid, SPACE, "first-factor")
-    _check_terms(fm.fourier().terms, grid, FREQUENCY, "first-factor")
+    _check_terms(f.terms, grid, "first-factor")
     x = grid.space_coords()
     if shear:
         # x_i + x_j = 2 x_0 + (i + j) h, so the bump is Hankel: row i is the
@@ -296,9 +246,8 @@ def near_delta_family(
     else:
         row = _periodized_bump(x, float(epsilon), grid.extent)
         bump = np.broadcast_to(row, (grid.n, grid.n))
-    values = fm.evaluate(x)[:, None] * bump
-    base = getattr(f, "descriptor", None)
-    parameters = {"epsilon": float(epsilon), "shear": bool(shear), "f": base}
+    values = f.evaluate(x)[:, None] * bump
+    parameters = {"epsilon": float(epsilon), "shear": bool(shear)}
     descriptor = {"family": "near_delta", "parameters": parameters, "seed": None}
     return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
 
@@ -315,17 +264,4 @@ def sample_descriptor(descriptor: dict | None, grid: GridSpec) -> SampledFunctio
         if descriptor.get("seed") is None:
             raise ValueError("a random ensemble descriptor needs a seed")
         return random_ensemble(grid, params["complexity"], descriptor["seed"])
-    if family == "near_delta":
-        f = sample_descriptor(params["f"], grid.first_factor())
-        return near_delta_family(grid, f, params["epsilon"], shear=params.get("shear", True))
-    if family == "dilation_shear":
-        kind = params.get("kind")
-        if kind == "dilate":
-            base = sample_descriptor(params["base"], grid)
-            return dilate_first_axis(base, params["t"], params["p"])
-        if kind == "shear":
-            f = sample_descriptor(params["f"], grid.first_factor())
-            g = sample_descriptor(params["g"], grid.first_factor())
-            return shear_product(f, g, grid)
-        raise ValueError(f"unknown dilation_shear kind {kind!r}")
     raise ValueError(f"family {family!r} cannot be reconstructed from a descriptor")

@@ -66,8 +66,8 @@ class SweepReport:
 
     def __post_init__(self):
         _sweep_parameters(self.parameter_values, "parameter values")
-        if any(v <= 0 for v in self.observed):
-            raise ValueError("observed values must be strictly positive")
+        if not all(0 < v < math.inf for v in self.observed):
+            raise ValueError(f"observed values must be positive and finite, got {self.observed}")
 
 
 def _sweep_parameters(values: Sequence[float], name: str) -> tuple[float, ...]:

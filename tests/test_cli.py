@@ -381,6 +381,12 @@ class TestSweep:
         assert (code, out, err) == (2, "", "error: second axis failed\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_overflowing_ratio_exits_2(self, capsys):
+        # the ratio overflows to inf at small t, so no slope can be fitted
+        code, out, err = run(capsys, ["sweep", "blowup", "--p", "2", "--s", "1001/1000"])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_failed_sweep_exits_1(self, capsys, monkeypatch):
         failed = SweepReport(
             "blowup", (1.0, 0.5), (1.0, 1.1), 0.14, -0.25, 0.0, False, "slope check"
@@ -402,6 +408,23 @@ class TestSweep:
 )
 def test_an_extreme_grid_extent_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--r", "2", "--format", "json", "--out", "{missing}/x.json"],
+        ["verify", "restriction", "--trials", "1", "--out", "{missing}/x.jsonl"],
+        ["sweep", "delta", "--out", "{directory}"],
+    ],
+    ids=["constants", "verify", "sweep"],
+)
+def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "missing", "directory": tmp_path}
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err

@@ -36,7 +36,6 @@ from mixnorm.inequalities import (
 )
 from mixnorm.mixed_norms import MixedNormSpec, mixed_norm, slice_norm
 from mixnorm.sampling import gaussian_product, random_ensemble
-from mixnorm.transform import fourier, slice_second_zero
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)

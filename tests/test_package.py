@@ -124,3 +124,43 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             if node.level or node.module.startswith("mixnorm"):
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert private == [], f"{path.name} imports {private} from {node.module}"
+
+
+#: Every Python file of the package, the tests, the tools and the demos.
+#: The benchmark under ``perfbench/`` is not checked.
+CHECKED = sorted(
+    path
+    for folder in ("src/mixnorm", "tests", "tools", "demos")
+    for path in (Path(__file__).parent.parent / folder).rglob("*.py")
+)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Each imported name that no ``ast.Name`` reads and ``__all__`` does not
+    list, as ``file:line name``. ``__future__`` and star imports, and lines
+    marked ``# noqa: F401``, are skipped."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= {item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if alias.name != "*" and name not in used:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", CHECKED, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []

@@ -13,7 +13,6 @@ from mixnorm.sampling import (
     TAIL,
     _ensemble_scale_bounds,
     _periodized_bump,
-    dilate_first_axis,
     gaussian_product,
     near_delta_family,
     random_ensemble,
@@ -282,37 +281,37 @@ def dropped(separable, coords):
 
 class TestDilation:
     def test_lp_norm_preserved(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         for p in (1.0, 4.0 / 3.0, 2.0):
-            base = GaussianMix(f.analytic.axis_terms(0)).lp_norm(p)
             for t in (0.5, 1.0, 2.0):
-                g = dilate_first_axis(f, t, p)
-                assert g.analytic.lp_norm(p) == pytest.approx(base, rel=1e-12)
+                g = f.dilate(t, 1 / p)
+                assert g.lp_norm(p) == pytest.approx(f.lp_norm(p), rel=1e-12)
 
     def test_t_one_is_identity(self):
-        f = gaussian_product(GRID1, [1.0])
-        g = dilate_first_axis(f, 1.0, 2)
-        np.testing.assert_allclose(g.values, f.values, atol=1e-15)
+        f = unit_gaussian()
+        x = GRID1.space_coords()
+        np.testing.assert_allclose(f.dilate(1.0, 0.5).evaluate(x), f.evaluate(x), atol=1e-15)
 
     def test_small_t_spreads_support_until_rejection(self):
-        f = gaussian_product(GRID1, [1.0])
+        # e^{-pi (t x)^2} is the Gaussian of scale t^2
+        t = 0.01
         with pytest.raises(GenerationError) as err:
-            dilate_first_axis(f, 0.01, 2)
+            gaussian_product(GRID1, [t * t])
         assert err.value.required_extent > GRID1.extent
 
     def test_large_t_rejected_on_bandwidth(self):
-        f = gaussian_product(GRID1, [1.0])
+        t = 150.0
         with pytest.raises(GenerationError, match="refine the grid") as err:
-            dilate_first_axis(f, 150.0, 2)
+            gaussian_product(GRID1, [t * t])
         assert err.value.required_extent is None
 
     def test_dilation_matches_direct_evaluation(self):
-        f = gaussian_product(GRID1, [1.0])
         t, p = 0.5, 2.0
-        g = dilate_first_axis(f, t, p)
         x = GRID1.space_coords()
         np.testing.assert_allclose(
-            g.values, t ** (1 / p) * np.exp(-math.pi * (t * x) ** 2), atol=1e-15
+            unit_gaussian().dilate(t, 1 / p).evaluate(x),
+            t ** (1 / p) * np.exp(-math.pi * (t * x) ** 2),
+            atol=1e-15,
         )
 
 
@@ -320,19 +319,15 @@ class TestShearProduct:
     def test_mixed_l2_norm_is_the_product_of_factors(self):
         # The shear is measure preserving slice by slice, so the L2 x L2
         # norm equals ||f||_2 ||g||_2.
-        f = gaussian_product(GRID1, [1.0])
-        g = gaussian_product(GRID1, [2.0])
+        f = unit_gaussian()
+        g = GaussianMix((GaussianTerm(1.0, 2.0),))
         F = shear_product(f, g, GRID2)
         h = GRID2.spacing
         discrete = math.sqrt(float(np.sum(np.abs(F.values) ** 2)) * h * h)
-        expected = (
-            GaussianMix(f.analytic.axis_terms(0)).lp_norm(2)
-            * GaussianMix(g.analytic.axis_terms(0)).lp_norm(2)
-        )
-        assert discrete == pytest.approx(expected, rel=1e-10)
+        assert discrete == pytest.approx(f.lp_norm(2) * g.lp_norm(2), rel=1e-10)
 
     def test_values_follow_the_shear(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         F = shear_product(f, f, GRID2)
         x = GRID2.space_coords()
         i, j = 40, 200
@@ -368,23 +363,23 @@ class TestShearProduct:
             shear_product(wide, wide, GRID2)
 
     def test_needs_one_plus_one_grid(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         with pytest.raises(ValueError):
             shear_product(f, f, GRID1)
 
 
 class TestNearDelta:
     def test_inner_mass_is_one_for_every_slice(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         F = near_delta_family(GRID2, f, epsilon=0.25)
         h = GRID2.spacing
         x = GRID2.space_coords()
         inner = np.sum(np.abs(F.values), axis=1) * h
-        expected = np.abs(GaussianMix(f.analytic.axis_terms(0)).evaluate(x))
+        expected = np.abs(f.evaluate(x))
         np.testing.assert_allclose(inner, expected, rtol=1e-12)
 
     def test_shear_moves_the_bump(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         F = near_delta_family(GRID2, f, epsilon=0.5, shear=True)
         x = GRID2.space_coords()
         # at x = 2 the bump should sit near y = -2
@@ -393,7 +388,7 @@ class TestNearDelta:
         assert abs(peak + 2.0) < 0.1
 
     def test_no_shear_keeps_a_product(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         F = near_delta_family(GRID2, f, epsilon=0.5, shear=False)
         col = np.abs(F.values[:, GRID2.n // 2])
         row = np.abs(F.values[GRID2.n // 4, :])
@@ -401,13 +396,19 @@ class TestNearDelta:
         rebuilt = outer / np.abs(F.values[GRID2.n // 4, GRID2.n // 2])
         np.testing.assert_allclose(np.abs(F.values), rebuilt, atol=1e-12)
 
+    def test_first_factor_must_fit_the_space_side(self):
+        wide = GaussianMix((GaussianTerm(1.0, 1e-4),))
+        with pytest.raises(GenerationError, match="first-factor space-side") as err:
+            near_delta_family(GRID2, wide, epsilon=0.5)
+        assert err.value.required_extent > GRID2.extent
+
     def test_first_factor_must_fit_the_frequency_side(self):
         narrow = GaussianMix((GaussianTerm(1.0, 1e4),))
         with pytest.raises(GenerationError, match="first-factor frequency-side"):
             near_delta_family(GRID2, narrow, epsilon=0.5)
 
     def test_epsilon_floor(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         with pytest.raises(GenerationError):
             near_delta_family(GRID2, f, epsilon=GRID2.spacing)
 
@@ -431,7 +432,7 @@ class TestNearDelta:
             assert np.max(np.abs(values - direct)) <= tol * np.max(np.abs(direct))
 
     def test_periodization_keeps_mass_at_large_epsilon(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         F = near_delta_family(GRID2, f, epsilon=4.0, shear=True)
         h = GRID2.spacing
         inner = np.sum(F.values.real, axis=1) * h
@@ -454,17 +455,10 @@ class TestDescriptors:
         for build in (
             lambda: gaussian_product(GRID2, [1.0, 2.0]),
             lambda: random_ensemble(GRID2, 4, seed=21),
-            lambda: near_delta_family(GRID2, gaussian_product(GRID1, [1.0]), 0.5),
         ):
             F = build()
             rebuilt = sample_descriptor(F.descriptor, GRID2)
             np.testing.assert_array_equal(rebuilt.values, F.values)
-
-    def test_dilation_descriptor_round_trip(self):
-        f = gaussian_product(GRID1, [1.0])
-        g = dilate_first_axis(f, 0.5, "4/3")
-        rebuilt = sample_descriptor(g.descriptor, GRID1)
-        np.testing.assert_allclose(rebuilt.values, g.values, atol=1e-15)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -479,10 +473,20 @@ class TestDescriptors:
         ids=["near_delta", "shear"],
     )
     def test_families_of_bare_mixtures_cannot_be_rebuilt(self, build):
-        # a GaussianMix input has no descriptor, so the family records None
+        # the descriptor records no closed form of the factors
         F = build()
-        with pytest.raises(ValueError, match="no descriptor"):
+        with pytest.raises(ValueError, match="cannot be reconstructed"):
             sample_descriptor(F.descriptor, GRID2)
+
+    def test_sheared_family_descriptors(self):
+        shear = shear_product(unit_gaussian(), unit_gaussian(), GRID2)
+        assert shear.descriptor == {"family": "shear", "parameters": {}, "seed": None}
+        delta = near_delta_family(GRID2, unit_gaussian(), 1.0, shear=False)
+        assert delta.descriptor == {
+            "family": "near_delta",
+            "parameters": {"epsilon": 1.0, "shear": False},
+            "seed": None,
+        }
 
     def test_a_missing_descriptor_cannot_be_rebuilt(self):
         with pytest.raises(ValueError, match="no descriptor"):

@@ -141,6 +141,11 @@ class TestBlowupSweep:
         with pytest.raises(ValueError):
             blowup_sweep("5/2", 2)  # p must not exceed 2
 
+    def test_an_overflowing_ratio_is_an_error(self):
+        # at s = 1001/1000 the same-order norm overflows to inf by t = 1/8
+        with pytest.raises(ValueError, match="positive and finite"):
+            blowup_sweep(2, "1001/1000", t_values=(1.0, 0.125))
+
 
 class TestDeltaDivergence:
     def test_sheared_family_diverges(self, delta_default):
@@ -303,3 +308,8 @@ class TestSweepReport:
             SweepReport("blowup", (1.0, 1.0), (1.0, 2.0), 0.0, 0.0, 0.0, True, "")
         with pytest.raises(ValueError):
             SweepReport("blowup", (1.0, 2.0), (1.0, -2.0), 0.0, 0.0, 0.0, True, "")
+
+    @pytest.mark.parametrize("observed", [math.inf, math.nan])
+    def test_observed_values_must_be_finite(self, observed):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SweepReport("blowup", (1.0, 2.0), (1.0, observed), 0.0, 0.0, 0.0, True, "")

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mixnorm.gaussians import unit_gaussian
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import gaussian_product, near_delta_family, random_ensemble
 from mixnorm.transform import fourier, marginal_second, slice_second_zero
@@ -178,17 +179,17 @@ class TestSliceAndMarginal:
         assert marg.grid.d2 == 0
 
     def test_marginal_of_near_delta_recovers_f(self):
-        f = gaussian_product(GRID1, [1.0])
+        f = unit_gaussian()
         F = near_delta_family(GRID2, f, epsilon=0.3)
         marg = marginal_second(F)
-        assert np.max(np.abs(marg.values - f.values)) <= 1e-3
+        assert np.max(np.abs(marg.values - f.evaluate(GRID1.space_coords()))) <= 1e-3
 
     def test_two_path_identity_on_families(self):
         families = [
             gaussian_product(GRID2, [1.0, 1.0]),
             gaussian_product(GRID2, [0.8, 1.9]),
-            near_delta_family(GRID2, gaussian_product(GRID1, [1.0]), 0.5),
-            near_delta_family(GRID2, gaussian_product(GRID1, [1.0]), 0.25, shear=False),
+            near_delta_family(GRID2, unit_gaussian(), 0.5),
+            near_delta_family(GRID2, unit_gaussian(), 0.25, shear=False),
         ]
         families += [random_ensemble(GRID2, 6, seed=s) for s in range(6)]
         for F in families:
