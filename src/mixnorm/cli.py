@@ -30,6 +30,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -157,11 +158,38 @@ def _echo(args) -> dict:
     return echo
 
 
-def _emit(text: str, out: str | Path | None) -> None:
+def _destinations(out: str | None, tags: tuple = (None,)) -> dict | None:
+    """Each tag's artifact file: ``out`` for the tag None, else ``out`` with
+    ``_tag`` ending its stem; None for stdout. Checked before the run, so an
+    unwritable ``--out`` fails at once, without creating any file."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return None
+    out = Path(out)
+    paths = {tag: out.with_stem(f"{out.stem}_{tag}") if tag else out for tag in tags}
+    for path in paths.values():
+        if path.is_dir() or not path.parent.is_dir():
+            raise OSError(f"cannot write {path}: it is a directory or its directory is missing")
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise OSError(f"cannot write {path}: it or its directory is read-only")
+    return paths
+
+
+def _emit(texts: dict, paths: dict | None) -> None:
+    """Write each tag's text to its file, or all of them to stdout, once the
+    run has succeeded. If a write fails, the files opened so far are removed."""
+    if paths is None:
+        sys.stdout.write("\n".join(texts.values()))
+        return
+    written = []
+    try:
+        for tag, text in texts.items():
+            with open(paths[tag], "w") as stream:
+                written.append(paths[tag])
+                stream.write(text)
+    except OSError:
+        for path in written:
+            path.unlink()
+        raise
 
 
 def _render(config: dict, fmt: str, rows: list, footer: dict | None) -> str:
@@ -185,6 +213,7 @@ def _render(config: dict, fmt: str, rows: list, footer: dict | None) -> str:
 
 
 def _cmd_constants(args) -> int:
+    paths = _destinations(args.out)
     exponents = [as_exponent(raw) for raw in args.r]
     dims = list(args.dim)
     header = ["r", "conjugate", "C_r"] + [f"C_r^{d}" for d in dims]
@@ -205,11 +234,12 @@ def _cmd_constants(args) -> int:
         else:
             rows = [header, *table]
         text = _render(config, args.format, rows, None)
-    _emit(text, args.out)
+    _emit({None: text}, paths)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    paths = _destinations(args.out)
     config = _echo(args)
     inequality = args.target.replace("-", "_")
     selection = config["exponents"]
@@ -233,7 +263,7 @@ def _cmd_verify(args) -> int:
             exps = r.descriptors.get("exponents", {})
             cell = " ".join(f"{k}={v}" for k, v in exps.items())
             rows.append([r.inequality_id, cell, r.ratio, r.passed])
-    _emit(_render(config, args.format, rows, summary), args.out)
+    _emit({None: _render(config, args.format, rows, summary)}, paths)
     return 1 if failures else 0
 
 
@@ -252,6 +282,8 @@ def _sweep_text(report: SweepReport, config: dict) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    axes = ("first", "second")
+    paths = _destinations(args.out, axes if args.target == "necessity" else (None,))
     config = _echo(args)
     exponents = config["exponents"]
     if args.target == "blowup":
@@ -268,20 +300,8 @@ def _cmd_sweep(args) -> int:
             reports = {None: delta_divergence_demo(as_exponent(exponents["p"]), grid=grid)}
         else:
             exps = ExponentTuple(**exponents)
-            reports = {
-                axis: necessity_sweep(exps, grid=grid, axis=axis) for axis in ("first", "second")
-            }
-    # Nothing is written until every sweep has run, so a failing sweep
-    # leaves no file behind. A tagged report's file name ends in its tag.
-    chunks = []
-    for tag, report in reports.items():
-        if args.out is None:
-            chunks.append(_sweep_text(report, config))
-        else:
-            path = Path(args.out)
-            tagged = path if tag is None else path.with_name(f"{path.stem}_{tag}{path.suffix}")
-            _emit(_sweep_text(report, config), tagged)
-    sys.stdout.write("\n".join(chunks))
+            reports = {axis: necessity_sweep(exps, grid=grid, axis=axis) for axis in axes}
+    _emit({tag: _sweep_text(report, config) for tag, report in reports.items()}, paths)
     return 0 if all(report.passed for report in reports.values()) else 1
 
 

@@ -62,7 +62,7 @@ class GaussianTerm:
         )
         return GaussianTerm(complex(amp), 1.0 / self.scale, self.modulation, -self.center)
 
-    def dilate(self, t: float, norm_reciprocal: float = 0.0) -> "GaussianTerm":
+    def dilate(self, t: float, norm_reciprocal: float) -> "GaussianTerm":
         """Map f to ``t**(1/p) f(t x)``; ``norm_reciprocal`` is 1/p.
 
         With 1/p = 0 this is the plain substitution x -> t x.
@@ -82,12 +82,9 @@ class GaussianTerm:
             return abs(self.amplitude)
         return abs(self.amplitude) * (p * self.scale) ** (-0.5 / p)
 
-    def half_width(self, tail: float = 1e-15) -> float:
-        """Distance from the center at which |f| falls to tail * |c|."""
-        return math.sqrt(math.log(1.0 / tail) / (math.pi * self.scale))
-
-    def support_radius(self, tail: float = 1e-15) -> float:
-        return abs(self.center) + self.half_width(tail)
+    def support_radius(self, tail: float) -> float:
+        """Distance from the origin beyond which |f| is under tail * |c|."""
+        return abs(self.center) + math.sqrt(math.log(1.0 / tail) / (math.pi * self.scale))
 
     def mass_fraction_outside(self, radius: float) -> float:
         """Fraction of the L^2 mass outside [-radius, radius]."""
@@ -114,7 +111,7 @@ class GaussianMix:
     def fourier(self) -> "GaussianMix":
         return GaussianMix(tuple(t.fourier() for t in self.terms))
 
-    def dilate(self, t: float, norm_reciprocal: float = 0.0) -> "GaussianMix":
+    def dilate(self, t: float, norm_reciprocal: float) -> "GaussianMix":
         return GaussianMix(tuple(term.dilate(t, norm_reciprocal) for term in self.terms))
 
     def lp_norm(self, p: float) -> float:
@@ -122,10 +119,10 @@ class GaussianMix:
             raise ValueError("closed-form L^p norms are available for single terms only")
         return self.terms[0].lp_norm(p)
 
-    def support_radius(self, tail: float = 1e-15) -> float:
+    def support_radius(self, tail: float) -> float:
         return max(term.support_radius(tail) for term in self.terms)
 
-    def bandwidth_radius(self, tail: float = 1e-15) -> float:
+    def bandwidth_radius(self, tail: float) -> float:
         return self.fourier().support_radius(tail)
 
 

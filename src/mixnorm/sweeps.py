@@ -134,39 +134,21 @@ def _slope_report(
     )
 
 
-def _closed_form_factors(
-    f: GaussianMix, g: GaussianMix, t: float, grid: GridSpec, p: ExponentLike
+def _sheared_transform(
+    f: GaussianMix, g: GaussianMix, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The transform of the dilation-shear family, without any DFT: the
-    blowup sweep's independent oracle for ``fourier(shear_product(...))``.
+    """The transform of ``shear_product(f, g, grid)`` in closed form, without
+    any DFT: the blowup sweep's independent oracle.
 
-    For F(x, y) = f_t(x) g(y - x) with f_t(x) = t^{1/p} f(t x), the
-    transform is ghat(eta) * t^{-1/p'} * fhat((xi + eta) / t), which is
-    ``row[None, :] * ridge``: ``row`` holds the n values of
-    ghat(eta) * t^{-1/p'} and ``ridge`` is an n x n view of 2n - 1 values.
+    F(x, y) = f(x) g(y - x) transforms to fhat(xi + eta) ghat(eta), which is
+    ``row[None, :] * ridge``: ``row`` holds the n values of ghat(eta) and
+    ``ridge`` is an n x n view of 2n - 1 values of fhat.
     """
-    if not t > 0:
-        raise ValueError(f"dilation parameter must be positive, got {t}")
-    if grid.d1 != 1 or grid.d2 != 1:
-        raise ValueError("the closed form is for the 1+1 dimensional family")
-    p = as_exponent(p)
-    fhat = f.fourier()
-    ridge_width = t * fhat.support_radius(TAIL)
-    if ridge_width < 2.0 * grid.freq_spacing:
-        raise GenerationError(
-            f"dilation t={t:.4g} concentrates the transform below the "
-            "frequency resolution",
-            required_extent=2.0 / ridge_width,
-        )
-    ghat = g.fourier()
-    xi = grid.freq_coords()
-    conj_recip = 1.0 - float(p.reciprocal)
-    scale = t ** (-conj_recip)
-    # xi_i + xi_j = (i + j - 2 (n // 2)) dxi, so fhat((xi + eta) / t) is
-    # Hankel: row i is the window of the 2n - 1 sums starting at index i.
+    # xi_i + xi_j = (i + j - 2 (n // 2)) dxi, so fhat(xi + eta) is Hankel:
+    # row i is the window of the 2n - 1 sums starting at index i.
     sums = (np.arange(2 * grid.n - 1) - 2 * (grid.n // 2)) * grid.freq_spacing
-    ridge = sliding_window_view(fhat.evaluate(sums / t), grid.n)
-    return ghat.evaluate(xi) * scale, ridge
+    ridge = sliding_window_view(f.fourier().evaluate(sums), grid.n)
+    return g.fourier().evaluate(grid.freq_coords()), ridge
 
 
 def _auto_grid(fm: GaussianMix, gm: GaussianMix) -> GridSpec:
@@ -225,7 +207,7 @@ def blowup_sweep(
         rhs = mixed_norm(F, rhs_spec)
         Fhat = fourier(F)
         del F  # the sweep's memory peak is F and Fhat inside fourier, not later
-        row, ridge = _closed_form_factors(f, g, t, point_grid, p)
+        row, ridge = _sheared_transform(f_t, g, point_grid)
         # the oracle is built 64 rows at a time, never as a full grid
         blocks = range(0, point_grid.n, 64)
         diffs = [np.abs(Fhat.values[i : i + 64] - row * ridge[i : i + 64]).max() for i in blocks]

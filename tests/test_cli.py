@@ -381,6 +381,42 @@ class TestSweep:
         assert (code, out, err) == (2, "", "error: second axis failed\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_unwritable_second_file_leaves_no_first_file(self, capsys, tmp_path):
+        (tmp_path / "x_second.csv").mkdir()
+        code, out, err = run(capsys, ["sweep", "necessity", "--out", str(tmp_path / "x.csv")])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "x_first.csv").exists()
+
+    def test_a_failing_write_removes_the_files_written_before_it(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        report = SweepReport("necessity", (1.0, 2.0), (1.0, 1.0), 0.0, 0.0, 0.0, True, "flat")
+
+        def second_blocked(exponents, grid, axis):
+            if axis == "second":  # the directory appears after the check
+                (tmp_path / "x_second.csv").mkdir()
+            return report
+
+        monkeypatch.setattr(cli, "necessity_sweep", second_blocked)
+        code, out, err = run(capsys, ["sweep", "necessity", "--out", str(tmp_path / "x.csv")])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [tmp_path / "x_second.csv"]
+
+    def test_a_failing_sweep_leaves_an_existing_file_as_it_was(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        (tmp_path / "x_first.csv").write_text("kept\n")
+
+        def fails(exponents, grid, axis):
+            raise ValueError(f"{axis} axis failed")
+
+        monkeypatch.setattr(cli, "necessity_sweep", fails)
+        code, _, _ = run(capsys, ["sweep", "necessity", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert (tmp_path / "x_first.csv").read_text() == "kept\n"
+
     def test_an_overflowing_ratio_exits_2(self, capsys):
         # the ratio overflows to inf at small t, so no slope can be fitted
         code, out, err = run(capsys, ["sweep", "blowup", "--p", "2", "--s", "1001/1000"])
@@ -428,6 +464,15 @@ def test_an_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_an_unwritable_out_fails_before_sampling(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "ensemble_stream", lambda *args: calls.append(args) or iter(()))
+    argv = ["verify", "restriction", "--trials", "100", "--out", str(tmp_path / "no" / "x.jsonl")]
+    code, out, err = run(capsys, argv)
+    assert (code, out, calls) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 EXPONENT_FLAGS = ("--p", "--s", "--q", "--t", "--r")

@@ -41,7 +41,7 @@ def delta_default():
 def closed_form_transform(f, g, t, grid):
     """The full closed-form transform array of the dilation-shear family at
     p = 2, from the factors that the blowup sweep's oracle uses."""
-    row, ridge = sweeps._closed_form_factors(f, g, t, grid, 2)
+    row, ridge = sweeps._sheared_transform(f.dilate(t, 0.5), g, grid)
     return row[None, :] * ridge
 
 
@@ -70,17 +70,16 @@ class TestClosedFormTransform:
         oracle = closed_form_transform(unit_gaussian(), silent, 1.0, GRID)
         assert np.all(oracle == 0.0)
 
-    def test_unresolvable_dilation_is_rejected(self):
-        with pytest.raises(GenerationError, match="resolution"):
-            closed_form_transform(unit_gaussian(), unit_gaussian(), 0.01, GRID)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            closed_form_transform(unit_gaussian(), unit_gaussian(), -1.0, GRID)
-        with pytest.raises(ValueError):
-            closed_form_transform(
-                unit_gaussian(), unit_gaussian(), 1.0, GridSpec.default(d2=0)
-            )
+    @pytest.mark.parametrize("n", [240, 256, 264])
+    def test_the_hankel_ridge_is_fhat_at_every_frequency_sum(self, n):
+        """Row i of the ridge, entry j, is fhat_t(xi_i + xi_j): the window
+        arithmetic against a direct evaluation at all n^2 sums."""
+        grid = GridSpec(1, 1, n, 16.0)
+        f_t, g = unit_gaussian().dilate(0.5, 0.5), unit_gaussian()
+        row, ridge = sweeps._sheared_transform(f_t, g, grid)
+        xi = grid.freq_coords()
+        direct = f_t.fourier().evaluate(np.add.outer(xi, xi)) * g.fourier().evaluate(xi)
+        assert np.max(np.abs(row[None, :] * ridge - direct)) <= 1e-14
 
 
 class TestBlowupSweep:
@@ -104,7 +103,7 @@ class TestBlowupSweep:
             assert rhs == pytest.approx(expected_rhs, rel=1e-6)
 
     def test_dft_matches_the_closed_form_to_roundoff(self, blowup_default):
-        assert max(blowup_default.details["oracle_max_error"]) <= 2.9e-14
+        assert max(blowup_default.details["oracle_max_error"]) <= 1e-14
 
     def test_dft_oracle_agreement_recorded(self):
         report = blowup_sweep(2, "4/3", t_values=(1.0, 0.5))
