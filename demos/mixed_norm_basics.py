@@ -33,7 +33,7 @@ print(f"plain L^2 norm:      {plain_norm(F, 2):.12f}  closed form: {(2*1.0)**-0.
 # inner-l1-then-outer-l2 gives sqrt(2), the other order gives 2
 
 cells = GridSpec(1, 1, n=2, extent=2.0)
-identity = SampledFunction(cells, np.eye(2, dtype=complex), (SPACE, SPACE))
+identity = SampledFunction(cells, np.eye(2, dtype=complex), SPACE)
 result = minkowski_compare(identity, 2, 1)
 print()
 print(f"larger exponent outermost:  {result.larger_outermost:.12f}")
@@ -48,7 +48,7 @@ rng = np.random.default_rng(0)
 violations = 0
 for _ in range(200):
     values = rng.random((4, 4))
-    box = SampledFunction(GridSpec(1, 1, 4, 4.0), values.astype(complex), (SPACE, SPACE))
+    box = SampledFunction(GridSpec(1, 1, 4, 4.0), values.astype(complex), SPACE)
     if not minkowski_compare(box, "5/2", "4/3").holds:
         violations += 1
 print(f"violations over 200 random arrays: {violations}")

@@ -37,13 +37,3 @@ for seed in range(20):
     freq = np.sqrt(np.sum(np.abs(ghat.values) ** 2) * grid.freq_spacing)
     worst_plancherel = max(worst_plancherel, abs(space - freq) / space)
 print(f"worst Plancherel mismatch over 20 ensembles: {worst_plancherel:.3e}")
-
-# ----------------------------------------------------------------------
-# Partial transforms compose: hat over both groups equals hat over the
-# second group then the first
-
-grid2 = GridSpec.default()
-F = random_ensemble(grid2, 6, seed=3)
-full = fourier(F, "all")
-composed = fourier(fourier(F, "second"), "first")
-print(f"partial-transform composition error: {np.max(np.abs(full.values - composed.values)):.3e}")

@@ -242,6 +242,8 @@ def _cmd_verify(args) -> int:
     paths = _destinations(args.out)
     config = _echo(args)
     inequality = args.target.replace("-", "_")
+    if args.d2 < 1 and not INEQUALITIES[inequality].one_group:
+        raise ValueError(f"--d2 must be at least 1 for {args.target}, got {args.d2}")
     selection = config["exponents"]
     if INEQUALITIES[inequality].pairs:
         if any(getattr(args, name) is not None for name in selection):

@@ -5,10 +5,11 @@ Every generated family reduces to terms of the shape
     c * exp(-pi * a * (x - mu)**2) * exp(2j * pi * beta * x)
 
 which are closed under the Fourier transform (convention
-``F f(xi) = integral exp(-2 pi i x xi) f(x) dx``), under dilation, and
-under multiplication. That closure gives exact re-evaluation of dilated
-and sheared families and closed-form norms and tail bounds, which the
-numerical pipeline is checked against.
+``F f(xi) = integral exp(-2 pi i x xi) f(x) dx``) and under dilation; no
+method forms a product of terms. That closure gives the exact transforms
+of dilated and sheared families, closed-form L^p norms that the sampled
+norms are checked against, and the tail bounds that the containment
+checks and grid sizes of ``sampling`` and ``sweeps`` rest on.
 
 ``SeparableSum.evaluate_grid`` samples a sum of K products as one rank-K
 contraction of per-axis factor values. On two or more axes it first drops
@@ -131,9 +132,8 @@ class SeparableSum:
     """A sum of products of per-axis Gaussian terms on R^ndim.
 
     Each entry of ``terms`` holds one Gaussian term per axis; the value of
-    the entry at a point is the product of its factors. Transforms apply
-    factor by factor, so the object is closed under the full and partial
-    Fourier transforms.
+    the entry at a point is the product of its factors. ``fourier``
+    transforms every factor, which gives the full transform in closed form.
     """
 
     terms: tuple[tuple[GaussianTerm, ...], ...]

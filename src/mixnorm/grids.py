@@ -97,14 +97,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex samples on a product grid, tagged per axis group.
+    """Complex samples on a product grid, on one side of it.
 
-    ``side`` holds one entry per axis group ("space" or "frequency"), so
-    partially transformed functions are representable. ``descriptor`` is
-    the recipe dict that ``sampling`` builds and rebuilds the function
-    from, or None. ``analytic`` optionally carries the closed-form object
-    behind the samples: ``sampling.sample_separable`` keeps the separable
-    Gaussian sum it sampled.
+    ``side`` is "space" or "frequency" for the whole function.
+    ``descriptor`` is the recipe dict that ``sampling`` builds and rebuilds
+    the function from, or None. ``analytic`` optionally carries the
+    closed-form object behind the samples: ``sampling.sample_separable``
+    keeps the separable Gaussian sum it sampled.
     A function is immutable: ``values`` is stored read-only, and
     reassigning any field raises ``dataclasses.FrozenInstanceError``.
     A complex128 array is adopted, not copied: ``values`` is the caller's
@@ -118,7 +117,7 @@ class SampledFunction:
 
     grid: GridSpec
     values: np.ndarray
-    side: tuple[str, ...]
+    side: str
     descriptor: dict[str, Any] | None = None
     analytic: Any = None
 
@@ -132,10 +131,8 @@ class SampledFunction:
             raise NonFiniteValues("sampled values must all be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "side", tuple(self.side))
-        expected_groups = 1 if self.grid.d2 == 0 else 2
-        if len(self.side) != expected_groups or any(s not in (SPACE, FREQUENCY) for s in self.side):
-            raise ValueError(f"side must have {expected_groups} entries of 'space'/'frequency'")
+        if self.side not in (SPACE, FREQUENCY):
+            raise ValueError(f"side must be 'space' or 'frequency', got {self.side!r}")
         object.__setattr__(self, "_reductions", {})
         object.__setattr__(self, "_serial", next(_SERIALS))
 
@@ -146,9 +143,10 @@ class SampledFunction:
             return self.grid.second_axes
         raise ValueError(f"no axis group {group} on this grid")
 
-    def group_spacing(self, group: int) -> float:
-        """Cell width on the given group's side of the grid."""
-        return self.grid.spacing if self.side[group] == SPACE else self.grid.freq_spacing
+    @property
+    def cell_width(self) -> float:
+        """Per-axis cell width on the function's side of the grid."""
+        return self.grid.spacing if self.side == SPACE else self.grid.freq_spacing
 
     def with_values(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.grid, values, self.side)
@@ -158,7 +156,7 @@ class SampledFunction:
 
         The flat layout orders axes as all first-group axes then all
         second-group axes. The sidecar at ``<path>.json`` carries the
-        grid, the sides, and the descriptor when present.
+        grid, the side, and the descriptor when present.
         """
         path = Path(path)
         path.write_bytes(np.ascontiguousarray(self.values).tobytes())
@@ -169,7 +167,7 @@ class SampledFunction:
             "d2": self.grid.d2,
             "n": self.grid.n,
             "extent": self.grid.extent,
-            "side": list(self.side),
+            "side": self.side,
             "descriptor": self.descriptor,
         }
         path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
@@ -180,4 +178,4 @@ class SampledFunction:
         sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         grid = GridSpec(sidecar["d1"], sidecar["d2"], sidecar["n"], sidecar["extent"])
         values = np.frombuffer(path.read_bytes(), dtype=np.complex128).reshape(grid.shape)
-        return cls(grid, values.copy(), tuple(sidecar["side"]), sidecar.get("descriptor"))
+        return cls(grid, values.copy(), sidecar["side"], sidecar.get("descriptor"))

@@ -155,7 +155,7 @@ def _memo_norm(F: SampledFunction, spec: MixedNormSpec, spectrum: bool) -> float
     if stage is None:
         G = fourier(F) if spectrum else F
         groups = (0, 1) if spectrum else (spec.inner_group,)
-        layers = [(G.group_axes(g), G.group_spacing(g) ** len(G.group_axes(g))) for g in groups]
+        layers = [(G.group_axes(g), G.cell_width ** len(G.group_axes(g))) for g in groups]
         stages = _inner_stages(G.values, layers, spec.inner_exponent)
         for group, stage in zip(groups, stages):
             F._reductions[(spectrum, group, spec.inner_exponent)] = stage
@@ -163,7 +163,7 @@ def _memo_norm(F: SampledFunction, spec: MixedNormSpec, spectrum: bool) -> float
 
     # The inner reduction only removes trailing or leading group axes,
     # so the surviving axes are exactly the outer group's.
-    spacing = F.grid.freq_spacing if spectrum else F.group_spacing(1 - spec.inner_group)
+    spacing = F.grid.freq_spacing if spectrum else F.cell_width
     return _magnitude_norm(stage, spacing**stage.ndim, spec.outer_exponent)
 
 
@@ -179,10 +179,7 @@ def spectrum_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
 
 def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
     """The unmixed L^a norm over every axis at once."""
-    weight = 1.0
-    for group in range(len(F.side)):
-        weight *= F.group_spacing(group) ** len(F.group_axes(group))
-    return _magnitude_norm(np.abs(F.values), weight, as_exponent(a))
+    return _magnitude_norm(np.abs(F.values), F.cell_width**F.grid.ndim, as_exponent(a))
 
 
 @np.errstate(over="ignore")

@@ -96,8 +96,7 @@ def sample_separable(
     """Sample ``separable`` on the space grid once it fits on both sides."""
     check_containment(separable, grid)
     values = separable.evaluate_grid([grid.space_coords()] * grid.ndim)
-    sides = (SPACE,) if grid.d2 == 0 else (SPACE, SPACE)
-    return SampledFunction(grid, values, sides, descriptor, separable)
+    return SampledFunction(grid, values, SPACE, descriptor, separable)
 
 
 def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction:
@@ -198,7 +197,7 @@ def shear_product(f_first: GaussianMix, g_second: GaussianMix, grid: GridSpec) -
     toeplitz = sliding_window_view(lags, grid.n)[::-1]
     values = f_first.evaluate(grid.space_coords())[:, None] * toeplitz
     descriptor = {"family": "shear", "parameters": {}, "seed": None}
-    return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
+    return SampledFunction(grid, values, SPACE, descriptor)
 
 
 def _periodized_bump(u: np.ndarray, epsilon: float, period: float) -> np.ndarray:
@@ -249,7 +248,7 @@ def near_delta_family(
     values = f.evaluate(x)[:, None] * bump
     parameters = {"epsilon": float(epsilon), "shear": bool(shear)}
     descriptor = {"family": "near_delta", "parameters": parameters, "seed": None}
-    return SampledFunction(grid, values, (SPACE, SPACE), descriptor)
+    return SampledFunction(grid, values, SPACE, descriptor)
 
 
 def sample_descriptor(descriptor: dict | None, grid: GridSpec) -> SampledFunction:

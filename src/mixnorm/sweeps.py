@@ -10,9 +10,9 @@ Three parameter sweeps, each summarized by a log-log slope fit:
   the ratio drifts with a slope equal to the exponent-relation mismatch,
   so an admissible tuple gives slope zero.
 
-Every sweep evaluates analytic Gaussian data, so a closed-form transform
-is available as an independent oracle for the DFT pipeline at each
-point.
+Every sweep samples analytic Gaussian data. Only ``blowup_sweep`` checks
+its DFT against a closed-form transform, at each point, and reports the
+largest oracle error per point.
 """
 
 from __future__ import annotations

@@ -188,7 +188,7 @@ def test_criterion_05_inequality_suites(ensembles2, ensembles1):
 
 def test_criterion_06_minkowski_orientation():
     unit_cells = GridSpec(1, 1, n=2, extent=2.0)
-    identity = SampledFunction(unit_cells, np.eye(2, dtype=complex), (SPACE, SPACE))
+    identity = SampledFunction(unit_cells, np.eye(2, dtype=complex), SPACE)
     oracle = minkowski_compare(identity, 2, 1)
     oracle_ok = (
         abs(oracle.larger_outermost - math.sqrt(2.0)) <= 1e-12
@@ -202,7 +202,7 @@ def test_criterion_06_minkowski_orientation():
     for _ in range(1000):
         n = int(2 * rng.integers(1, 5))
         grid = GridSpec(1, 1, n=n, extent=float(n))
-        F = SampledFunction(grid, rng.random((n, n)).astype(complex), (SPACE, SPACE))
+        F = SampledFunction(grid, rng.random((n, n)).astype(complex), SPACE)
         i, j = rng.choice(len(pool), size=2, replace=False)
         random_ok = random_ok and minkowski_compare(F, pool[i], pool[j]).holds
     ok = oracle_ok and random_ok

@@ -263,7 +263,7 @@ class TestReportSerialization:
         assert math.isclose(payload["ratio"], reports[0].ratio)
 
     def test_csv_shape(self, capsys, monkeypatch):
-        zero = SampledFunction(GRID2, np.zeros(GRID2.shape, complex), (SPACE, SPACE))
+        zero = SampledFunction(GRID2, np.zeros(GRID2.shape, complex), SPACE)
         reports = [check_variant(GAUSSIAN2, "4/3", 2), check_restriction(zero, 2)]
         rows = self.rows(capsys, monkeypatch, reports, "--format", "csv")
         assert rows[0] == "inequality_id,exponents,ratio,pass"
@@ -473,6 +473,15 @@ def test_an_unwritable_out_fails_before_sampling(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, argv)
     assert (code, out, calls) == (2, "", [])
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("inequality", ["restriction", "variant", "same-order", "bilinear"])
+def test_no_second_group_is_a_usage_error_before_sampling(capsys, monkeypatch, inequality):
+    calls = []
+    monkeypatch.setattr(cli, "ensemble_stream", lambda *args: calls.append(args) or iter(()))
+    code, out, err = run(capsys, ["verify", inequality, "--d2", "0", "--trials", "2"])
+    assert (code, out, calls) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "--d2" in err
 
 
 EXPONENT_FLAGS = ("--p", "--s", "--q", "--t", "--r")

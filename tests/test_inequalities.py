@@ -48,7 +48,7 @@ GAUSSIAN_TOL = 1e-3
 
 def separable(f, g):
     """Tensor product of two one-group functions on the full grid."""
-    return SampledFunction(GRID2, np.outer(f.values, g.values), (SPACE, SPACE))
+    return SampledFunction(GRID2, np.outer(f.values, g.values), SPACE)
 
 
 class TestGaussianSharpness:
@@ -426,7 +426,7 @@ class TestStructure:
         assert functions["F"] is F.descriptor and functions["G"] is G.descriptor
 
     def test_zero_function_is_degenerate(self):
-        zero = SampledFunction(GRID2, np.zeros(GRID2.shape, complex), (SPACE, SPACE))
+        zero = SampledFunction(GRID2, np.zeros(GRID2.shape, complex), SPACE)
         report = check_restriction(zero, "4/3")
         assert report.degenerate and not report.passed and report.ratio is None
 
@@ -450,7 +450,7 @@ class TestStructure:
 
     def test_overflowing_slice_transform_is_infinite_and_not_kept(self):
         # the marginal, 2^1019, is finite; its 256-point DFT sum is not
-        F = SampledFunction(GRID2, np.full(GRID2.shape, 2.0**1015, complex), (SPACE, SPACE))
+        F = SampledFunction(GRID2, np.full(GRID2.shape, 2.0**1015, complex), SPACE)
         assert slice_norm(F, 4) == math.inf
         assert ("slice", None) not in F._reductions
 

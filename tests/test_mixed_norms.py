@@ -31,7 +31,7 @@ UNIT_MASS = GridSpec(1, 1, n=4, extent=1.0)
 
 
 def on_grid(grid, values):
-    return SampledFunction(grid, np.asarray(values, dtype=complex), (SPACE, SPACE))
+    return SampledFunction(grid, np.asarray(values, dtype=complex), SPACE)
 
 
 def assert_plain_riemann_sums(outer, inner):
@@ -59,7 +59,7 @@ def assert_skipped_powers_leave_every_bit(inner):
 
     base = random_ensemble(GRID2, 6, seed=500).values
     for k in (-1000, -150, -100, -50, 0, 60, 1000):
-        F = SampledFunction(GRID2, 2.0**k * base, (SPACE, SPACE))
+        F = SampledFunction(GRID2, 2.0**k * base, SPACE)
         for orient, axis in ((MixedNormSpec.standard, 1), (MixedNormSpec.reversed, 0)):
             with np.errstate(over="ignore"):
                 stage = layer(np.abs(F.values), inner, axis)
@@ -110,7 +110,7 @@ class TestMixedNorm:
     def test_matches_explicit_quadrature(self):
         rng = np.random.default_rng(5)
         values = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-        F = SampledFunction(GRID2, values, (SPACE, SPACE))
+        F = SampledFunction(GRID2, values, SPACE)
         h = GRID2.spacing
         inner = (h * np.sum(np.abs(values) ** 2.0, axis=1)) ** 0.5
         expected = (h * np.sum(inner ** (4.0 / 3.0))) ** 0.75
@@ -119,16 +119,16 @@ class TestMixedNorm:
 
     @pytest.mark.parametrize("orient", [MixedNormSpec.standard, MixedNormSpec.reversed])
     def test_each_layer_takes_its_own_groups_cell(self, orient):
-        """On a partly transformed function the space cell (12/256) and the
-        frequency cell (1/12) differ, so each layer must weigh by its group."""
+        """On this grid the space cell (12/256) and the frequency cell (1/12)
+        differ, so both layers of a frequency-side function must weigh by
+        the frequency cell."""
         grid = GridSpec(1, 1, 256, 12.0)
         values = np.abs(np.random.default_rng(6).standard_normal(grid.shape))
-        F = SampledFunction(grid, values, (SPACE, FREQUENCY))
-        cells = [grid.spacing, grid.freq_spacing]
+        F = SampledFunction(grid, values, FREQUENCY)
+        cell = 1 / 12
         spec = orient(2, 1)
-        inner_axis = spec.inner_group
-        inner = cells[inner_axis] * values.sum(axis=inner_axis)
-        expected = (cells[1 - inner_axis] * np.sum(inner**2.0)) ** 0.5
+        inner = cell * values.sum(axis=spec.inner_group)
+        expected = (cell * np.sum(inner**2.0)) ** 0.5
         assert mixed_norm(F, spec) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("outer, inner", [(1, 1), (2, 1), (1, 2)])
@@ -220,7 +220,7 @@ class TestBlockedReduction:
                 G = fourier(F) if spectrum else F
                 for group in (0, 1) if spectrum else (spec.inner_group,):
                     axes = G.group_axes(group)
-                    weight = G.group_spacing(group) ** len(axes)
+                    weight = G.cell_width ** len(axes)
                     expected = whole_array_stage(G.values, axes, weight, float(e))
                     assert np.array_equal(F._reductions[(spectrum, group, e)], expected)
 

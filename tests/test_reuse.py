@@ -138,7 +138,7 @@ class TestMemo:
     SPEC = MixedNormSpec.standard("4/3", "3/2")
 
     @pytest.mark.parametrize(
-        "name, value", [("values", 3.0 * ENSEMBLE[0].values), ("side", (FREQUENCY, FREQUENCY))]
+        "name, value", [("values", 3.0 * ENSEMBLE[0].values), ("side", FREQUENCY)]
     )
     def test_fields_cannot_be_reassigned(self, name, value):
         F = fresh(ENSEMBLE[0])

@@ -1,5 +1,6 @@
 """Generator families: containment, reproducibility, analytic closures."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixnorm.gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
-from mixnorm.grids import SPACE, GridSpec, SampledFunction
+from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
     TAIL,
@@ -20,6 +21,7 @@ from mixnorm.sampling import (
     shear_product,
 )
 from mixnorm.sweeps import _auto_grid
+from mixnorm.transform import fourier
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
@@ -136,7 +138,7 @@ class TestRandomEnsemble:
     def test_one_group_shapes(self):
         f = random_ensemble(GRID1, 4, seed=5)
         assert f.values.shape == (GRID1.n,)
-        assert f.side == (SPACE,)
+        assert f.side == SPACE
 
 
 def per_term_sum(separable, coords):
@@ -443,13 +445,15 @@ class TestNearDelta:
 class TestDescriptors:
     def test_round_trip_through_save_and_load(self, tmp_path):
         F = random_ensemble(GRID2, 3, seed=9)
-        target = tmp_path / "ensemble.bin"
-        F.save(target)
-        loaded = SampledFunction.load(target)
-        np.testing.assert_array_equal(loaded.values, F.values)
-        assert loaded.grid == F.grid
-        assert loaded.side == F.side
-        assert loaded.descriptor == F.descriptor
+        for G, side in ((F, SPACE), (fourier(F), FREQUENCY)):
+            target = tmp_path / f"{side}.bin"
+            G.save(target)
+            assert json.loads((tmp_path / f"{side}.bin.json").read_text())["side"] == side
+            loaded = SampledFunction.load(target)
+            np.testing.assert_array_equal(loaded.values, G.values)
+            assert loaded.grid == G.grid
+            assert loaded.side == side
+            assert loaded.descriptor == G.descriptor
 
     def test_sample_descriptor_rebuilds_identical_values(self):
         for build in (

@@ -1,6 +1,7 @@
-"""DFT fidelity: centered phases, partial transforms, exact identities."""
+"""DFT fidelity: centered phases, sides, exact identities."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ class TestFourier:
         F = gaussian_product(GRID2, [1.0, 1.0])
         Fhat = fourier(F)
         assert np.max(np.abs(Fhat.values - F.values)) <= 1e-6
-        assert Fhat.side == (FREQUENCY, FREQUENCY)
+        assert Fhat.side == FREQUENCY
 
     def test_shift_becomes_modulation(self):
         f = gaussian_product(GRID1, [1.0])
@@ -52,24 +53,9 @@ class TestFourier:
     def test_side_mismatch_rejected(self):
         F = gaussian_product(GRID2, [1.0, 1.0])
         Fhat = fourier(F)
-        message = "group 0 is on the frequency side; cannot apply a forward transform there"
+        message = "F is on the frequency side; the forward transform needs the space side"
         with pytest.raises(ValueError, match=f"^{message}$"):
             fourier(Fhat)
-
-    def test_partial_then_partial_equals_full(self):
-        for seed in range(5):
-            F = random_ensemble(GRID2, 5, seed=seed)
-            full = fourier(F, "all")
-            composed = fourier(fourier(F, "second"), "first")
-            assert np.max(np.abs(full.values - composed.values)) <= 1e-10
-            assert composed.side == (FREQUENCY, FREQUENCY)
-
-    def test_selector_validation(self):
-        f = gaussian_product(GRID1, [1.0])
-        with pytest.raises(ValueError):
-            fourier(f, "second")
-        with pytest.raises(ValueError):
-            fourier(f, "sideways")
 
     def test_one_transform_holds_one_array_beyond_its_input(self):
         grid = GridSpec.default(n=512, extent=32.0)
@@ -100,21 +86,14 @@ SHIFT_CASES = [
 
 @pytest.mark.parametrize("d1, d2, n", SHIFT_CASES)
 def test_transform_equals_the_shift_formula_bit_for_bit(d1, d2, n):
-    """h^k · fftshift(fftn(ifftshift(v))) over the selected axes, with
-    ``==``: the in-place shift is the same permutation of the same FFT
-    output."""
+    """h^k · fftshift(fftn(ifftshift(v))) over every axis, with ``==``: the
+    in-place shift is the same permutation of the same FFT output."""
     grid = GridSpec(d1, d2, n, 16.0)
     rng = np.random.default_rng(n + 10 * d1 + 100 * d2)
     values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    selected = {"first": grid.first_axes, "second": grid.second_axes}
-    selected["all"] = grid.first_axes + grid.second_axes
-    F = SampledFunction(grid, values, (SPACE,) * (1 if d2 == 0 else 2))
-    for selector, axes in selected.items():
-        if not axes:
-            continue
-        shifted = np.fft.ifftshift(values, axes=axes)
-        expected = np.fft.fftshift(np.fft.fftn(shifted, axes=axes), axes=axes)
-        assert np.array_equal(fourier(F, selector).values, expected * grid.spacing ** len(axes))
+    F = SampledFunction(grid, values, SPACE)
+    expected = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values)))
+    assert np.array_equal(fourier(F).values, expected * grid.spacing**grid.ndim)
 
 
 class TestGridSpec:
@@ -138,9 +117,15 @@ class TestSampledFunction:
     def test_wrong_shape_rejected(self):
         # the transforms rely on this check; they do not repeat it
         with pytest.raises(ValueError, match="shape"):
-            SampledFunction(GRID1, np.zeros((GRID1.n, GRID1.n)), (SPACE,))
+            SampledFunction(GRID1, np.zeros((GRID1.n, GRID1.n)), SPACE)
         with pytest.raises(ValueError, match="shape"):
-            SampledFunction(GRID2, np.zeros(GRID2.n), (SPACE, SPACE))
+            SampledFunction(GRID2, np.zeros(GRID2.n), SPACE)
+
+    @pytest.mark.parametrize("side", [(SPACE, SPACE), "sideways"])
+    def test_a_side_is_space_or_frequency(self, side):
+        message = f"side must be 'space' or 'frequency', got {side!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SampledFunction(GRID2, np.zeros(GRID2.shape), side)
 
 
 class TestSliceAndMarginal:
@@ -157,15 +142,13 @@ class TestSliceAndMarginal:
         F = gaussian_product(GRID2, [1.0, 1.0])
         with pytest.raises(ValueError):
             slice_second_zero(F)
-        with pytest.raises(ValueError):
-            slice_second_zero(fourier(F, "first"))
 
     def test_odd_function_slices_to_zero(self):
         x = GRID2.space_coords()
         values = np.exp(-math.pi * x[:, None] ** 2) * (
             x[None, :] * np.exp(-math.pi * x[None, :] ** 2)
         )
-        F = SampledFunction(GRID2, values, (SPACE, SPACE))
+        F = SampledFunction(GRID2, values, SPACE)
         assert np.max(np.abs(slice_second_zero(fourier(F)).values)) <= 1e-10
         assert np.max(np.abs(marginal_second(F).values)) <= 1e-10
 
@@ -175,7 +158,7 @@ class TestSliceAndMarginal:
         x = GRID1.space_coords()
         expected = np.exp(-math.pi * x**2) * 2.0 ** (-0.5)
         np.testing.assert_allclose(marg.values, expected, atol=1e-12)
-        assert marg.side == (SPACE,)
+        assert marg.side == SPACE
         assert marg.grid.d2 == 0
 
     def test_marginal_of_near_delta_recovers_f(self):
