@@ -176,18 +176,21 @@ def _destinations(out: str | None, tags: tuple = (None,)) -> dict | None:
 
 def _emit(texts: dict, paths: dict | None) -> None:
     """Write each tag's text to its file, or all of them to stdout, once the
-    run has succeeded. If a write fails, the files opened so far are removed."""
+    run has succeeded. If a write fails, the files it created are removed; a
+    path that was there before, such as a FIFO or a symlink, is left."""
     if paths is None:
         sys.stdout.write("\n".join(texts.values()))
         return
-    written = []
+    created = []
     try:
         for tag, text in texts.items():
+            existed = os.path.lexists(paths[tag])
             with open(paths[tag], "w") as stream:
-                written.append(paths[tag])
+                if not existed:
+                    created.append(paths[tag])
                 stream.write(text)
     except OSError:
-        for path in written:
+        for path in created:
             path.unlink()
         raise
 
@@ -244,6 +247,8 @@ def _cmd_verify(args) -> int:
     inequality = args.target.replace("-", "_")
     if args.d2 < 1 and not INEQUALITIES[inequality].one_group:
         raise ValueError(f"--d2 must be at least 1 for {args.target}, got {args.d2}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     selection = config["exponents"]
     if INEQUALITIES[inequality].pairs:
         if any(getattr(args, name) is not None for name in selection):

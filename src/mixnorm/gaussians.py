@@ -1,15 +1,16 @@
 """Closed-form Gaussian mixtures used as analytic test functions.
 
-Every generated family reduces to terms of the shape
+Every generated family reduces to sums of K terms of the shape
 
-    c * exp(-pi * a * (x - mu)**2) * exp(2j * pi * beta * x)
+    c * exp(-pi * a * (x - mu)**2) * exp(2j * pi * beta * x),
 
-which are closed under the Fourier transform (convention
-``F f(xi) = integral exp(-2 pi i x xi) f(x) dx``) and under dilation; no
-method forms a product of terms. That closure gives the exact transforms
-of dilated and sheared families, closed-form L^p norms that the sampled
-norms are checked against, and the tail bounds that the containment
-checks and grid sizes of ``sampling`` and ``sweeps`` rest on.
+held by a ``GaussianMix`` as one length-K array per parameter, and by a
+``SeparableSum`` as one mixture per axis. The terms are closed under the
+Fourier transform (convention ``F f(xi) = integral exp(-2 pi i x xi) f(x) dx``)
+and under dilation. That closure gives the exact transforms of dilated and
+sheared families, closed-form L^p norms that the sampled norms are checked
+against, and the tail bounds that the containment checks and grid sizes of
+``sampling`` and ``sweeps`` rest on.
 
 ``SeparableSum.evaluate_grid`` samples a sum of K products as one rank-K
 contraction of per-axis factor values. On two or more axes it first drops
@@ -23,54 +24,67 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import erfc
 
 import numpy as np
 
-__all__ = ["GaussianTerm", "GaussianMix", "SeparableSum", "unit_gaussian"]
+__all__ = ["GaussianMix", "SeparableSum", "unit_gaussian"]
 
 
-@dataclass(frozen=True)
-class GaussianTerm:
-    """One modulated Gaussian, ``c e^{-pi a (x-mu)^2} e^{2 pi i beta x}``."""
+@dataclass(frozen=True, eq=False)
+class GaussianMix:
+    """K terms ``c e^{-pi a (x-mu)^2} e^{2 pi i beta x}``; a scalar parameter
+    is shared by every term. The parameters are stored read-only."""
 
-    amplitude: complex = 1.0
-    scale: float = 1.0
-    center: float = 0.0
-    modulation: float = 0.0
+    amplitude: np.ndarray
+    scale: np.ndarray = 1.0
+    center: np.ndarray = 0.0
+    modulation: np.ndarray = 0.0
 
     def __post_init__(self):
-        if not self.scale > 0:
+        names = ("amplitude", "scale", "center", "modulation")
+        params = [np.asarray(getattr(self, name)) for name in names]
+        shapes = {p.shape for p in params if p.ndim} or {(1,)}  # a scalar is shared by every term
+        shape = shapes.pop()
+        if shapes or len(shape) != 1 or shape[0] == 0:
+            raise ValueError(f"parameters need one length K >= 1, got {[p.shape for p in params]}")
+        for name, p, dtype in zip(names, params, (complex, float, float, float)):
+            p = np.broadcast_to(p, shape).astype(dtype)
+            p.flags.writeable = False
+            object.__setattr__(self, name, p)
+        if not np.all(self.scale > 0):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    def term_values(self, x: np.ndarray) -> np.ndarray:
+        """The K terms' values at ``x``, stacked along a new first axis."""
         x = np.asarray(x, dtype=float)
-        envelope = np.exp(-math.pi * self.scale * (x - self.center) ** 2)
-        if self.modulation == 0.0:
-            return self.amplitude * envelope.astype(np.complex128)
-        return self.amplitude * envelope * np.exp(2j * math.pi * self.modulation * x)
+        c, a, mu, beta = (
+            p.reshape((-1,) + (1,) * x.ndim)
+            for p in (self.amplitude, self.scale, self.center, self.modulation)
+        )
+        return c * np.exp(-math.pi * a * (x - mu) ** 2) * np.exp(2j * math.pi * beta * x)
 
-    def fourier(self) -> "GaussianTerm":
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return self.term_values(x).sum(axis=0)
+
+    def fourier(self) -> "GaussianMix":
         """Exact transform; a width-a Gaussian maps to width 1/a.
 
         Modulation and center trade places (up to sign) and the constant
         ``a**-1/2 e^{2 pi i mu beta}`` folds into the amplitude.
         """
-        amp = (
-            self.amplitude
-            / math.sqrt(self.scale)
-            * np.exp(2j * math.pi * self.center * self.modulation)
-        )
-        return GaussianTerm(complex(amp), 1.0 / self.scale, self.modulation, -self.center)
+        root = np.sqrt(self.scale)  # divides each part: NumPy's complex quotient rounds twice
+        amp = self.amplitude.real / root + 1j * (self.amplitude.imag / root)
+        amp = amp * np.exp(2j * math.pi * self.center * self.modulation)
+        return GaussianMix(amp, 1.0 / self.scale, self.modulation, -self.center)
 
-    def dilate(self, t: float, norm_reciprocal: float) -> "GaussianTerm":
+    def dilate(self, t: float, norm_reciprocal: float) -> "GaussianMix":
         """Map f to ``t**(1/p) f(t x)``; ``norm_reciprocal`` is 1/p.
 
         With 1/p = 0 this is the plain substitution x -> t x.
         """
         if not t > 0:
             raise ValueError(f"dilation parameter must be positive, got {t}")
-        return GaussianTerm(
+        return GaussianMix(
             self.amplitude * t**norm_reciprocal,
             self.scale * t * t,
             self.center / t,
@@ -78,76 +92,44 @@ class GaussianTerm:
         )
 
     def lp_norm(self, p: float) -> float:
-        """Continuum L^p norm: ``|c| (p a)^(-1/2p)``; sup norm at p=inf."""
-        if math.isinf(p):
-            return abs(self.amplitude)
-        return abs(self.amplitude) * (p * self.scale) ** (-0.5 / p)
-
-    def support_radius(self, tail: float) -> float:
-        """Distance from the origin beyond which |f| is under tail * |c|."""
-        return abs(self.center) + math.sqrt(math.log(1.0 / tail) / (math.pi * self.scale))
-
-    def mass_fraction_outside(self, radius: float) -> float:
-        """Fraction of the L^2 mass outside [-radius, radius]."""
-        c = math.sqrt(2.0 * math.pi * self.scale)
-        return 0.5 * (erfc(c * (radius - self.center)) + erfc(c * (radius + self.center)))
-
-
-@dataclass(frozen=True)
-class GaussianMix:
-    """A finite sum of one-dimensional Gaussian terms."""
-
-    terms: tuple[GaussianTerm, ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("a mixture needs at least one term")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        out = self.terms[0].evaluate(x)
-        for term in self.terms[1:]:
-            out = out + term.evaluate(x)
-        return out
-
-    def fourier(self) -> "GaussianMix":
-        return GaussianMix(tuple(t.fourier() for t in self.terms))
-
-    def dilate(self, t: float, norm_reciprocal: float) -> "GaussianMix":
-        return GaussianMix(tuple(term.dilate(t, norm_reciprocal) for term in self.terms))
-
-    def lp_norm(self, p: float) -> float:
-        if len(self.terms) != 1:
+        """Continuum L^p norm of one term: ``|c| (p a)^(-1/2p)``; sup norm at p=inf."""
+        if self.scale.size != 1:
             raise ValueError("closed-form L^p norms are available for single terms only")
-        return self.terms[0].lp_norm(p)
+        c = abs(complex(self.amplitude[0]))
+        return c if math.isinf(p) else c * (p * float(self.scale[0])) ** (-0.5 / p)
 
     def support_radius(self, tail: float) -> float:
-        return max(term.support_radius(tail) for term in self.terms)
+        """Distance from the origin beyond which every term is under tail * |c|."""
+        radii = np.abs(self.center) + np.sqrt(math.log(1.0 / tail) / (math.pi * self.scale))
+        return float(radii.max())
 
     def bandwidth_radius(self, tail: float) -> float:
         return self.fourier().support_radius(tail)
 
+    def mass_fraction_outside(self, radius: float) -> float:
+        """The largest fraction of a term's L^2 mass outside [-radius, radius]."""
+        roots = np.sqrt(2.0 * math.pi * self.scale).tolist()
+        return max(
+            0.5 * (math.erfc(c * (radius - mu)) + math.erfc(c * (radius + mu)))
+            for c, mu in zip(roots, self.center.tolist())
+        )
+
 
 @dataclass(frozen=True)
 class SeparableSum:
-    """A sum of products of per-axis Gaussian terms on R^ndim.
+    """A sum of K products on R^ndim: ``axes`` holds one K-term mixture per
+    axis, and term k is the product of every axis's term k. ``fourier``
+    transforms every axis, which gives the full transform in closed form."""
 
-    Each entry of ``terms`` holds one Gaussian term per axis; the value of
-    the entry at a point is the product of its factors. ``fourier``
-    transforms every factor, which gives the full transform in closed form.
-    """
-
-    terms: tuple[tuple[GaussianTerm, ...], ...]
+    axes: tuple[GaussianMix, ...]
 
     def __post_init__(self):
-        if not self.terms:
-            raise ValueError("a separable sum needs at least one term")
-        ndim = len(self.terms[0])
-        if ndim < 1 or any(len(t) != ndim for t in self.terms):
-            raise ValueError("every term needs the same positive number of axis factors")
+        if not self.axes or len({mix.scale.size for mix in self.axes}) != 1:
+            raise ValueError("a separable sum needs one or more axes, each with the same K")
 
     @property
     def ndim(self) -> int:
-        return len(self.terms[0])
+        return len(self.axes)
 
     def evaluate_grid(self, axis_coords: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
         if len(axis_coords) != self.ndim:
@@ -162,15 +144,12 @@ class SeparableSum:
             return rows[0].sum(axis=0)
         left = rows[0]
         for right in rows[1:-1]:
-            left = (left[:, :, None] * right[:, None, :]).reshape(len(self.terms), -1)
+            left = (left[:, :, None] * right[:, None, :]).reshape(len(left), -1)
         return (left.T @ rows[-1]).reshape([len(c) for c in axis_coords])
 
     def _factor_rows(self, axis_coords) -> list[np.ndarray]:
         """Each axis's factor values as a K x n matrix, one row per term."""
-        rows = [
-            np.stack([term.evaluate(coords) for term in self.axis_terms(axis)])
-            for axis, coords in enumerate(axis_coords)
-        ]
+        rows = [mix.term_values(coords) for mix, coords in zip(self.axes, axis_coords)]
         if self.ndim > 1:
             # Zero each real and imaginary component under 2^(-1022/ndim) of
             # its row's peak modulus. A product of kept components is then at
@@ -186,12 +165,9 @@ class SeparableSum:
         return rows
 
     def fourier(self) -> "SeparableSum":
-        return SeparableSum(tuple(tuple(f.fourier() for f in factors) for factors in self.terms))
-
-    def axis_terms(self, axis: int) -> tuple[GaussianTerm, ...]:
-        return tuple(factors[axis] for factors in self.terms)
+        return SeparableSum(tuple(mix.fourier() for mix in self.axes))
 
 
 def unit_gaussian() -> GaussianMix:
     """The standard Gaussian ``e^{-pi x^2}``, fixed point of the transform."""
-    return GaussianMix((GaussianTerm(),))
+    return GaussianMix(1.0)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gaussians import GaussianMix, GaussianTerm, SeparableSum
+from .gaussians import GaussianMix, SeparableSum
 from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 
 __all__ = [
@@ -63,38 +63,33 @@ class GenerationError(ValueError):
         super().__init__(message)
 
 
-def _check_terms(terms: Sequence[GaussianTerm], grid: GridSpec, label: str) -> None:
-    """Reject terms whose mass leaks outside the grid, checking the space
-    side and then the frequency side.
+def _check_terms(mix: GaussianMix, grid: GridSpec, label: str) -> None:
+    """Reject a mixture whose mass leaks outside the grid, checking the
+    space side and then the frequency side.
 
     Only a space-side leak sets ``required_extent``; a frequency-side
     leak names the frequency extent it needs, which is not a space extent.
     """
-    for side, side_terms, extent in (
-        (SPACE, terms, grid.extent),
-        (FREQUENCY, [term.fourier() for term in terms], grid.freq_extent),
+    for side, side_mix, extent in (
+        (SPACE, mix, grid.extent),
+        (FREQUENCY, mix.fourier(), grid.freq_extent),
     ):
-        worst = max(term.mass_fraction_outside(extent / 2.0) for term in side_terms)
+        worst = side_mix.mass_fraction_outside(extent / 2.0)
         if worst <= TAIL_FRACTION_LIMIT:
             continue
-        needed = 2.0 * max(term.support_radius(TAIL) for term in side_terms)
+        needed = 2.0 * side_mix.support_radius(TAIL)
         message = f"{label} {side}-side mass leaks outside the grid (fraction {worst:.3g})"
         if side == SPACE:
             raise GenerationError(message, required_extent=needed)
         raise GenerationError(f"{message}; refine the grid (need frequency extent >= {needed:.4g})")
 
 
-def check_containment(separable: SeparableSum, grid: GridSpec) -> None:
-    """Space- and frequency-side containment, axis by axis."""
-    for axis in range(separable.ndim):
-        _check_terms(separable.axis_terms(axis), grid, f"axis {axis}")
-
-
 def sample_separable(
     separable: SeparableSum, grid: GridSpec, descriptor: dict | None = None
 ) -> SampledFunction:
-    """Sample ``separable`` on the space grid once it fits on both sides."""
-    check_containment(separable, grid)
+    """Sample ``separable`` on the space grid once every axis fits on both sides."""
+    for axis, mix in enumerate(separable.axes):
+        _check_terms(mix, grid, f"axis {axis}")
     values = separable.evaluate_grid([grid.space_coords()] * grid.ndim)
     return SampledFunction(grid, values, SPACE, descriptor, separable)
 
@@ -108,9 +103,7 @@ def gaussian_product(grid: GridSpec, scales: Sequence[float]) -> SampledFunction
     scales = [float(a) for a in scales]
     if len(scales) != grid.ndim:
         raise ValueError(f"expected {grid.ndim} scales, got {len(scales)}")
-    if any(a <= 0 for a in scales):
-        raise ValueError(f"scales must be positive, got {scales}")
-    separable = SeparableSum((tuple(GaussianTerm(1.0, a) for a in scales),))
+    separable = SeparableSum(tuple(GaussianMix(1.0, a) for a in scales))
     descriptor = {"family": "gaussian_product", "parameters": {"scales": scales}, "seed": None}
     return sample_separable(separable, grid, descriptor)
 
@@ -145,28 +138,19 @@ def random_ensemble(grid: GridSpec, complexity: int, seed: int) -> SampledFuncti
     a_min, a_max = _ensemble_scale_bounds(grid)
     d = grid.ndim
     rng = np.random.default_rng(seed)
-    amplitudes = rng.normal(size=(complexity, 2))
+    # each row's two draws are the real and imaginary part of one amplitude
+    amplitudes = rng.normal(size=(complexity, 2)).view(np.complex128)[:, 0]
     centers = rng.uniform(-grid.extent / 4.0, grid.extent / 4.0, size=(complexity, d))
     log_scales = rng.uniform(math.log(a_min), math.log(a_max), size=(complexity, d))
     mod_limit = grid.freq_extent / 4.0
     modulations = rng.uniform(-mod_limit, mod_limit, size=(complexity, d))
-
-    terms = []
-    for k in range(complexity):
-        amp = complex(amplitudes[k, 0], amplitudes[k, 1])
-        factors = [
-            GaussianTerm(
-                amp if axis == 0 else 1.0,
-                math.exp(log_scales[k, axis]),
-                centers[k, axis],
-                modulations[k, axis],
-            )
-            for axis in range(d)
-        ]
-        terms.append(tuple(factors))
+    # math.exp, not np.exp: the two round differently on some inputs
+    scales = [[math.exp(v) for v in column] for column in log_scales.T.tolist()]
+    mixes = map(GaussianMix, [amplitudes] + [1.0] * (d - 1), scales, centers.T, modulations.T)
+    separable = SeparableSum(tuple(mixes))
     parameters = {"complexity": complexity}
     descriptor = {"family": "random_ensemble", "parameters": parameters, "seed": seed}
-    return sample_separable(SeparableSum(tuple(terms)), grid, descriptor)
+    return sample_separable(separable, grid, descriptor)
 
 
 def shear_product(f_first: GaussianMix, g_second: GaussianMix, grid: GridSpec) -> SampledFunction:
@@ -235,7 +219,7 @@ def near_delta_family(
             f"epsilon {epsilon:.4g} below the resolvability threshold "
             f"{2.0 * grid.spacing:.4g}; refine the grid"
         )
-    _check_terms(f.terms, grid, "first-factor")
+    _check_terms(f, grid, "first-factor")
     x = grid.space_coords()
     if shear:
         # x_i + x_j = 2 x_0 + (i + j) h, so the bump is Hankel: row i is the

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import Exponent, ExponentLike, ExponentTuple, as_exponent, beckner_power
-from .gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
+from .gaussians import GaussianMix, SeparableSum, unit_gaussian
 from .grids import GridSpec
 from .inequalities import SUITE_TOL, bilinear_sides
 from .mixed_norms import MixedNormSpec, mixed_norm, spectrum_norm
@@ -315,9 +315,9 @@ def necessity_sweep(
     )
     observed = []
     for lam in lambda_values:
-        factors = [GaussianTerm(1.0, 1.0), GaussianTerm(1.0, 1.0)]
-        factors[0 if axis == "first" else 1] = GaussianTerm(1.0, lam**2)
-        F = sample_separable(SeparableSum((tuple(factors),)), grid)
+        dilated, unit = GaussianMix(1.0, lam**2), unit_gaussian()
+        factors = (dilated, unit) if axis == "first" else (unit, dilated)
+        F = sample_separable(SeparableSum(factors), grid)
         lhs, bound = bilinear_sides(F, F, exponents)
         observed.append(lhs / bound)
 

@@ -7,9 +7,11 @@ import gc
 import json
 import math
 import os
+import select
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -473,6 +475,50 @@ def test_an_unwritable_out_fails_before_sampling(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, argv)
     assert (code, out, calls) == (2, "", [])
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("inequality", ["restriction", "bilinear"])
+def test_a_negative_seed_is_a_usage_error_before_sampling(capsys, monkeypatch, inequality):
+    calls = []
+    monkeypatch.setattr(cli, "ensemble_stream", lambda *args: calls.append(args) or iter(()))
+    monkeypatch.setattr(
+        cli, "random_admissible_tuples", lambda *args: calls.append(args) or []
+    )
+    code, out, err = run(capsys, ["verify", inequality, "--trials", "2", "--seed", "-1"])
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: --seed must be non-negative, got -1\n"
+
+
+def test_a_failed_write_leaves_a_fifo_out_in_place(capsys, monkeypatch, tmp_path):
+    """The FIFO's reader takes 100 bytes and leaves, so the rest of the
+    artifact cannot be written; the FIFO was there before the run and stays."""
+    fifo = tmp_path / "out.jsonl"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+
+    def read_a_little_and_leave():
+        select.select([reader], [], [], 60.0)  # until the run has written
+        os.read(reader, 100)
+        os.close(reader)
+
+    thread = threading.Thread(target=read_a_little_and_leave)
+    thread.start()
+    monkeypatch.setattr(cli, "_render", lambda *args: "x" * 2**22)  # more than a pipe holds
+    code, out, err = run(capsys, ["constants", "--r", "2", "--format", "json", "--out", str(fifo)])
+    thread.join()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 32]")
+    assert fifo.is_fifo()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fail writes")
+def test_a_failed_write_leaves_a_symlink_out_in_place(capsys, tmp_path):
+    link = tmp_path / "out.json"
+    link.symlink_to("/dev/full")  # every write fails with ENOSPC
+    code, out, err = run(capsys, ["constants", "--r", "2", "--format", "json", "--out", str(link)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 28]")
+    assert link.is_symlink()
 
 
 @pytest.mark.parametrize("inequality", ["restriction", "variant", "same-order", "bilinear"])

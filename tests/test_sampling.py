@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixnorm.gaussians import GaussianMix, GaussianTerm, SeparableSum, unit_gaussian
+from mixnorm.gaussians import GaussianMix, SeparableSum, unit_gaussian
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
@@ -42,6 +42,11 @@ class TestGaussianProduct:
     def test_scale_count_must_match_dims(self):
         with pytest.raises(ValueError):
             gaussian_product(GRID2, [1.0])
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan])
+    def test_nonpositive_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            gaussian_product(GRID2, [1.0, scale])
 
     def test_wide_gaussian_rejected_with_required_extent(self):
         with pytest.raises(GenerationError) as err:
@@ -87,8 +92,7 @@ class TestRandomEnsemble:
         # K=1: the modulated Gaussian's transform magnitude is the
         # envelope translated to the modulation frequency.
         f = random_ensemble(GRID1, 1, seed=3)
-        term_row = f.analytic.terms[0]
-        term = term_row[0]
+        term = f.analytic.axes[0]
         shifted = term.fourier()
         xi = GRID1.freq_coords()
         np.testing.assert_allclose(
@@ -96,17 +100,15 @@ class TestRandomEnsemble:
             np.abs(shifted.evaluate(xi)),
             rtol=1e-12,
         )
-        assert abs(shifted.center - term.modulation) < 1e-12
+        assert abs(shifted.center[0] - term.modulation[0]) < 1e-12
 
     def test_containment_on_both_sides(self):
         for seed in range(8):
             F = random_ensemble(GRID2, 6, seed=seed)
             sep = F.analytic
-            for axis in range(2):
-                for term in sep.axis_terms(axis):
-                    assert term.mass_fraction_outside(GRID2.extent / 2.0) < 1e-8
-                for term in sep.fourier().axis_terms(axis):
-                    assert term.mass_fraction_outside(GRID2.freq_extent / 2.0) < 1e-8
+            for mix, transformed in zip(sep.axes, sep.fourier().axes):
+                assert mix.mass_fraction_outside(GRID2.extent / 2.0) < 1e-8
+                assert transformed.mass_fraction_outside(GRID2.freq_extent / 2.0) < 1e-8
 
     def test_complexity_validated(self):
         with pytest.raises(ValueError):
@@ -135,10 +137,65 @@ class TestRandomEnsemble:
         )
         assert _ensemble_scale_bounds(GridSpec(1, 1, n, extent)) == squared
 
+    @pytest.mark.parametrize("seed", [0, 11, 21])
+    def test_factor_rows_match_the_per_term_draws(self, seed):
+        """Each axis's unfloored K x n factor matrix equals the terms drawn
+        one at a time and evaluated on their own, bit for bit; scales are
+        ``math.exp`` of the drawn log-scales, whose rounding differs from
+        ``np.exp`` on some inputs."""
+        K, d = 6, GRID2.ndim
+        F = random_ensemble(GRID2, K, seed)
+        rng = np.random.default_rng(seed)
+        a_min, a_max = _ensemble_scale_bounds(GRID2)
+        amplitudes = rng.normal(size=(K, 2))
+        centers = rng.uniform(-GRID2.extent / 4.0, GRID2.extent / 4.0, size=(K, d))
+        log_scales = rng.uniform(math.log(a_min), math.log(a_max), size=(K, d))
+        mod_limit = GRID2.freq_extent / 4.0
+        modulations = rng.uniform(-mod_limit, mod_limit, size=(K, d))
+        x = GRID2.space_coords()
+        for axis, mix in enumerate(F.analytic.axes):
+            expected = np.stack([
+                term_formula(
+                    complex(*amplitudes[k]) if axis == 0 else 1.0,
+                    math.exp(log_scales[k, axis]),
+                    centers[k, axis],
+                    modulations[k, axis],
+                    x,
+                )
+                for k in range(K)
+            ])
+            np.testing.assert_array_equal(mix.term_values(x), expected)
+
     def test_one_group_shapes(self):
         f = random_ensemble(GRID1, 4, seed=5)
         assert f.values.shape == (GRID1.n,)
         assert f.side == SPACE
+
+
+def term_formula(c, a, mu, beta, x):
+    """One term ``c e^{-pi a (x-mu)^2} e^{2 pi i beta x}`` at x, evaluated on
+    its own, with a real product where the term is unmodulated."""
+    x = np.asarray(x, dtype=float)
+    envelope = np.exp(-math.pi * a * (x - mu) ** 2)
+    if beta == 0.0:
+        return c * envelope.astype(np.complex128)
+    return c * envelope * np.exp(2j * math.pi * beta * x)
+
+
+def one_term(mix, k, x):
+    """Term k of ``mix`` at x, by the one-term formula."""
+    params = (mix.amplitude, mix.scale, mix.center, mix.modulation)
+    return term_formula(*(p[k].item() for p in params), x)
+
+
+def separable_of(terms):
+    """The separable sum whose term k has one factor ``(c, a, mu, beta)``
+    per axis in ``terms[k]``."""
+    return SeparableSum(tuple(GaussianMix(*zip(*column)) for column in zip(*terms)))
+
+
+def term_count(separable):
+    return len(separable.axes[0].scale)
 
 
 def per_term_sum(separable, coords):
@@ -146,13 +203,59 @@ def per_term_sum(separable, coords):
     pointwise sum of the terms' magnitudes as its rounding scale."""
     out = np.zeros([len(c) for c in coords], dtype=np.complex128)
     scale = np.zeros(out.shape)
-    for factors in separable.terms:
-        term = factors[0].evaluate(coords[0])
-        for factor, axis_coords in zip(factors[1:], coords[1:]):
-            term = np.multiply.outer(term, factor.evaluate(axis_coords))
+    for k in range(term_count(separable)):
+        term = one_term(separable.axes[0], k, coords[0])
+        for mix, axis_coords in zip(separable.axes[1:], coords[1:]):
+            term = np.multiply.outer(term, one_term(mix, k, axis_coords))
         out += term
         scale += np.abs(term)
     return out, scale
+
+
+class TestGaussianMix:
+    def test_parameters_are_read_only_length_k_arrays(self):
+        amplitude = np.array([1.0, 2.0j])
+        mix = GaussianMix(amplitude, [1.0, 2.0], 0.5)
+        assert mix.amplitude.dtype == np.complex128
+        for p in (mix.amplitude, mix.scale, mix.center, mix.modulation):
+            assert p.shape == (2,) and not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[0] = 3.0
+        np.testing.assert_array_equal(mix.center, [0.5, 0.5])
+        amplitude[0] = 3.0  # the caller's array is copied, not frozen
+        assert mix.amplitude[0] == 1.0
+
+    def test_rejects_an_empty_mixture(self):
+        with pytest.raises(ValueError, match="one length K >= 1"):
+            GaussianMix([], [], [], [])
+
+    @pytest.mark.parametrize("shapes", [(2, 3, 2, 2), (1, 2, 2, 2), (2, 2, 2, 0), (2, (2, 2))])
+    def test_rejects_mismatched_lengths(self, shapes):
+        params = [np.ones(shape) for shape in shapes]
+        with pytest.raises(ValueError, match="one length K >= 1"):
+            GaussianMix(*params)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+    def test_rejects_a_nonpositive_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            GaussianMix([1.0, 1.0], [1.0, scale])
+
+    @pytest.mark.parametrize("shape", [(40,), (12, 12)])
+    def test_evaluate_is_the_sequential_term_sum(self, shape):
+        rng = np.random.default_rng(3)
+        modulation = rng.uniform(-2.0, 2.0, size=5)
+        modulation[[1, 3]] = 0.0  # unmodulated terms take the real product
+        amplitude = rng.normal(size=5) + 1j * rng.normal(size=5)
+        amplitude[3] = 0.7  # and a real amplitude
+        mix = GaussianMix(amplitude, rng.uniform(0.5, 2.0, size=5), rng.uniform(-1, 1, size=5),
+                          modulation)
+        x = rng.uniform(-3.0, 3.0, size=shape)
+        expected = one_term(mix, 0, x)
+        for k in range(1, 5):
+            expected = expected + one_term(mix, k, x)
+        values = mix.evaluate(x)
+        assert values.shape == shape
+        np.testing.assert_array_equal(values, expected)
 
 
 class TestEvaluateGrid:
@@ -160,13 +263,10 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("count", [1, 2, 6])
     def test_matches_the_per_term_sum(self, ndim, count):
         rng = np.random.default_rng(10 * ndim + count)
-        separable = SeparableSum(tuple(
-            tuple(
-                GaussianTerm(complex(*rng.normal(size=2)), *rng.uniform(0.5, 2.0, size=3))
-                for _ in range(ndim)
-            )
+        separable = separable_of([
+            [(complex(*rng.normal(size=2)), *rng.uniform(0.5, 2.0, size=3)) for _ in range(ndim)]
             for _ in range(count)
-        ))
+        ])
         coords = [np.linspace(-3.0, 3.0, n) for n in (8, 10, 12)[:ndim]]
         values = separable.evaluate_grid(coords)
         expected, scale = per_term_sum(separable, coords)
@@ -190,14 +290,14 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("amplitude", [2.0**-600, 2.0**600])
     def test_amplitude_scales_the_sample(self, ndim, amplitude):
         unit, coords = far_tailed_sum(ndim)
-        scaled = SeparableSum(tuple(
-            (replace(factors[0], amplitude=amplitude * factors[0].amplitude), *factors[1:])
-            for factors in unit.terms
-        ))
+        first, rest = unit.axes[0], unit.axes[1:]
+        scaled = SeparableSum((replace(first, amplitude=amplitude * first.amplitude), *rest))
         # the floor follows each row's peak, so a rescaled row keeps the
         # components its unit row keeps, also when only one term is rescaled;
         # an absolute floor of 2^-511 would keep none at 2^-600
-        one_scaled = SeparableSum((scaled.terms[0], *unit.terms[1:]))
+        one_amplitude = first.amplitude.copy()
+        one_amplitude[0] *= amplitude
+        one_scaled = SeparableSum((replace(first, amplitude=one_amplitude), *rest))
         for separable in (scaled, one_scaled):
             for unit_row, row, exact in zip(
                 unit._factor_rows(coords),
@@ -213,7 +313,7 @@ class TestEvaluateGrid:
         _, scale = per_term_sum(unit, coords)
         # below the normal range each of the 4K real products and sums of
         # an entry rounds to a multiple of the smallest subnormal, 2^-1074
-        subnormal = 4 * len(unit.terms) * 2.0**-1074
+        subnormal = 4 * term_count(unit) * 2.0**-1074
         bound = amplitude * (rounding(scale) + dropped(unit, coords)) + subnormal
         assert np.all(np.abs(values - expected) <= bound)
         if amplitude > 1:  # no subnormal anywhere: a power of two scales exactly
@@ -240,26 +340,26 @@ def far_tailed_sum(ndim):
     """Six random terms on [-12, 12] per axis, where every factor's tail
     falls below 1e-300."""
     rng = np.random.default_rng(40 + ndim)
-    separable = SeparableSum(tuple(
-        tuple(
-            GaussianTerm(
+    separable = separable_of([
+        [
+            (
                 complex(*rng.normal(size=2)),
                 rng.uniform(1.0, 2.0),
                 rng.uniform(-1.0, 1.0),
                 rng.uniform(-2.0, 2.0),
             )
             for _ in range(ndim)
-        )
+        ]
         for _ in range(6)
-    ))
+    ])
     return separable, [np.linspace(-12.0, 12.0, n) for n in (41, 42, 43)[:ndim]]
 
 
 def unfloored_rows(separable, coords):
     """Each axis's K x n factor values, with no component dropped."""
     return [
-        np.stack([term.evaluate(c) for term in separable.axis_terms(axis)])
-        for axis, c in enumerate(coords)
+        np.stack([one_term(mix, k, c) for k in range(term_count(separable))])
+        for mix, c in zip(separable.axes, coords)
     ]
 
 
@@ -275,8 +375,8 @@ def dropped(separable, coords):
     product of its factors' peaks."""
     ndim = separable.ndim
     peaks = sum(
-        math.prod(np.abs(f.evaluate(c)).max() for f, c in zip(factors, coords))
-        for factors in separable.terms
+        math.prod(np.abs(one_term(mix, k, c)).max() for mix, c in zip(separable.axes, coords))
+        for k in range(term_count(separable))
     )
     return 2 * ndim * 2.0 ** (-1022 / ndim) * peaks
 
@@ -322,7 +422,7 @@ class TestShearProduct:
         # The shear is measure preserving slice by slice, so the L2 x L2
         # norm equals ||f||_2 ||g||_2.
         f = unit_gaussian()
-        g = GaussianMix((GaussianTerm(1.0, 2.0),))
+        g = GaussianMix(1.0, 2.0)
         F = shear_product(f, g, GRID2)
         h = GRID2.spacing
         discrete = math.sqrt(float(np.sum(np.abs(F.values) ** 2)) * h * h)
@@ -340,10 +440,8 @@ class TestShearProduct:
         "f, g, grid",
         [
             (
-                GaussianMix((GaussianTerm(1.0, 1.3, 0.4, 0.7),)),
-                GaussianMix(
-                    (GaussianTerm(0.5 + 0.2j, 0.8, -0.3, -0.5), GaussianTerm(1.0, 2.0, 1.0))
-                ),
+                GaussianMix(1.0, 1.3, 0.4, 0.7),
+                GaussianMix([0.5 + 0.2j, 1.0], [0.8, 2.0], [-0.3, 1.0], [-0.5, 0.0]),
                 GridSpec(1, 1, 240, 16.0),
             ),
             (
@@ -360,7 +458,7 @@ class TestShearProduct:
         assert np.max(np.abs(values - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_support_failure_reports_extent(self):
-        wide = GaussianMix((GaussianTerm(1.0, 0.02),))
+        wide = GaussianMix(1.0, 0.02)
         with pytest.raises(GenerationError):
             shear_product(wide, wide, GRID2)
 
@@ -399,13 +497,13 @@ class TestNearDelta:
         np.testing.assert_allclose(np.abs(F.values), rebuilt, atol=1e-12)
 
     def test_first_factor_must_fit_the_space_side(self):
-        wide = GaussianMix((GaussianTerm(1.0, 1e-4),))
+        wide = GaussianMix(1.0, 1e-4)
         with pytest.raises(GenerationError, match="first-factor space-side") as err:
             near_delta_family(GRID2, wide, epsilon=0.5)
         assert err.value.required_extent > GRID2.extent
 
     def test_first_factor_must_fit_the_frequency_side(self):
-        narrow = GaussianMix((GaussianTerm(1.0, 1e4),))
+        narrow = GaussianMix(1.0, 1e4)
         with pytest.raises(GenerationError, match="first-factor frequency-side"):
             near_delta_family(GRID2, narrow, epsilon=0.5)
 

@@ -8,7 +8,7 @@ import pytest
 
 from mixnorm import sweeps
 from mixnorm.exponents import ExponentTuple
-from mixnorm.gaussians import GaussianMix, GaussianTerm, unit_gaussian
+from mixnorm.gaussians import GaussianMix, unit_gaussian
 from mixnorm.grids import GridSpec
 from mixnorm.sampling import GenerationError, shear_product
 from mixnorm.sweeps import (
@@ -66,7 +66,7 @@ class TestClosedFormTransform:
         assert norm == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-6)
 
     def test_zero_second_factor_gives_zero(self):
-        silent = GaussianMix((GaussianTerm(0.0, 1.0),))
+        silent = GaussianMix(0.0, 1.0)
         oracle = closed_form_transform(unit_gaussian(), silent, 1.0, GRID)
         assert np.all(oracle == 0.0)
 

@@ -1,4 +1,4 @@
-"""Digest a fixed set of ``mixnorm`` command-line runs, one line per run.
+"""Digest a fixed set of 38 ``mixnorm`` command-line runs, one line per run.
 
 Each invocation runs as ``python3 -m mixnorm ...`` in a fresh interpreter
 with the caller's ``PYTHONPATH`` (relative entries made absolute) and an
@@ -54,6 +54,8 @@ INVOCATIONS: list[list[str]] = [
     ["sweep", "necessity", "--r", "inf", "--out", "necessity.csv"],
     # a grid of several reduction blocks, with a spectrum miss that fills both groups
     ["verify", "variant", "--p", "4/3", "--s", "3/2", "--grid-n", "1024", "--trials", "2"],
+    # three axes: the only run that folds leading axes before the rank-K contraction
+    ["verify", "restriction", "--d1", "2", "--d2", "1", "--grid-n", "176", "--trials", "1"],
     # every flag of every target, defaults spelled out where another value costs more
     *(
         ["verify", inequality, *exponents, "--d1", "1", *d2, "--grid-n", "192", "--grid-l", "16",
