@@ -3,19 +3,14 @@
 # support and bandwidth fit the grid before sampling, and refuses with
 # the required extent when they do not.
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from mixnorm import (
     GenerationError,
     GridSpec,
-    SampledFunction,
     gaussian_product,
     near_delta_family,
     random_ensemble,
-    sample_descriptor,
     shear_product,
 )
 from mixnorm.gaussians import unit_gaussian
@@ -50,16 +45,13 @@ except GenerationError as error:
     print(f"scale 1/256 refused: {error}")
 
 # ----------------------------------------------------------------------
-# Descriptors make trials reproducible: save the values plus a JSON
-# sidecar, reload, or regenerate from the descriptor alone
+# Descriptors make trials reproducible: a descriptor's parameters are its
+# generator's arguments, so the seed and complexity it records rebuild the
+# same trial bit for bit
 
 original = families["random_ensemble"]
-with tempfile.TemporaryDirectory(prefix="mixnorm_families_") as workdir:
-    path = Path(workdir) / "trial.npy"
-    original.save(path)
-    reloaded = SampledFunction.load(path)
-regenerated = sample_descriptor(original.descriptor, grid2)
+descriptor = original.descriptor
+regenerated = random_ensemble(grid2, **descriptor["parameters"], seed=descriptor["seed"])
 print()
-print(f"saved to {path.name} + sidecar {path.name}.json")
-print(f"reload max error:     {float(np.max(np.abs(reloaded.values - original.values))):.1e}")
+print(f"descriptor: {descriptor}")
 print(f"regenerate max error: {float(np.max(np.abs(regenerated.values - original.values))):.1e}")

@@ -31,6 +31,8 @@ import io
 import json
 import math
 import os
+import shutil
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -43,21 +45,14 @@ from .sweeps import SweepReport, blowup_sweep, delta_divergence_demo, necessity_
 
 __all__ = ["main", "entry"]
 
-DEFAULT_SEED = 7
-DEFAULT_TRIALS = 100
-DEFAULT_N = 256
-DEFAULT_EXTENT = 16.0
-
 #: The argparse settings of each non-exponent flag; ``dest`` is its echo key.
 _FLAGS = {
     "d1": dict(type=int, default=1, help="first-group dimension"),
     "d2": dict(type=int, default=1, help="second-group dimension"),
-    "grid-n": dict(dest="n", type=int, default=DEFAULT_N, help="points per axis"),
-    "grid-l": dict(
-        dest="extent", type=float, default=DEFAULT_EXTENT, help="domain extent per axis"
-    ),
-    "trials": dict(type=int, default=DEFAULT_TRIALS),
-    "seed": dict(type=int, default=DEFAULT_SEED),
+    "grid-n": dict(dest="n", type=int, default=256, help="points per axis"),
+    "grid-l": dict(dest="extent", type=float, default=16.0, help="domain extent per axis"),
+    "trials": dict(type=int, default=100),
+    "seed": dict(type=int, default=7),
 }
 
 
@@ -169,29 +164,45 @@ def _destinations(out: str | None, tags: tuple = (None,)) -> dict | None:
     for path in paths.values():
         if path.is_dir() or not path.parent.is_dir():
             raise OSError(f"cannot write {path}: it is a directory or its directory is missing")
-        if not os.access(path if path.exists() else path.parent, os.W_OK):
+        if not os.access(path if path.exists() else path.parent, os.W_OK) or (
+            not _in_place(path) and not os.access(path.parent, os.W_OK)
+        ):
             raise OSError(f"cannot write {path}: it or its directory is read-only")
     return paths
 
 
+def _in_place(path: Path) -> bool:
+    """Whether ``path`` exists and is not a regular file (a FIFO, a symlink,
+    a device), so that it is written where it is rather than replaced."""
+    return os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode)
+
+
 def _emit(texts: dict, paths: dict | None) -> None:
     """Write each tag's text to its file, or all of them to stdout, once the
-    run has succeeded. If a write fails, the files it created are removed; a
-    path that was there before, such as a FIFO or a symlink, is left."""
+    run has succeeded. A new or regular file is written to a temporary file
+    beside it, and the temporary files replace their targets only once all
+    are written, so a failed write leaves every target as it was."""
     if paths is None:
         sys.stdout.write("\n".join(texts.values()))
         return
-    created = []
+    staged = {}  # temporary file: target
     try:
         for tag, text in texts.items():
-            existed = os.path.lexists(paths[tag])
-            with open(paths[tag], "w") as stream:
-                if not existed:
-                    created.append(paths[tag])
+            path = paths[tag]
+            if _in_place(path):
+                path.write_text(text)
+                continue
+            temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temporary, "x") as stream:  # a new file's mode, as open(path, "w") gives
+                staged[temporary] = path
+                if path.exists():
+                    shutil.copymode(path, temporary)
                 stream.write(text)
-    except OSError:
-        for path in created:
-            path.unlink()
+        for temporary, path in staged.items():
+            temporary.replace(path)
+    except BaseException:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
         raise
 
 

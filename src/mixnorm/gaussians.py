@@ -91,13 +91,6 @@ class GaussianMix:
             self.modulation * t,
         )
 
-    def lp_norm(self, p: float) -> float:
-        """Continuum L^p norm of one term: ``|c| (p a)^(-1/2p)``; sup norm at p=inf."""
-        if self.scale.size != 1:
-            raise ValueError("closed-form L^p norms are available for single terms only")
-        c = abs(complex(self.amplitude[0]))
-        return c if math.isinf(p) else c * (p * float(self.scale[0])) ** (-0.5 / p)
-
     def support_radius(self, tail: float) -> float:
         """Distance from the origin beyond which every term is under tail * |c|."""
         radii = np.abs(self.center) + np.sqrt(math.log(1.0 / tail) / (math.pi * self.scale))

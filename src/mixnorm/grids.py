@@ -10,9 +10,7 @@ both grids, which hyperplane slicing relies on.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -100,8 +98,8 @@ class SampledFunction:
     """Complex samples on a product grid, on one side of it.
 
     ``side`` is "space" or "frequency" for the whole function.
-    ``descriptor`` is the recipe dict that ``sampling`` builds and rebuilds
-    the function from, or None. ``analytic`` optionally carries the
+    ``descriptor`` is the recipe dict that ``sampling`` tags the function
+    with, or None. ``analytic`` optionally carries the
     closed-form object behind the samples: ``sampling.sample_separable``
     keeps the separable Gaussian sum it sampled.
     A function is immutable: ``values`` is stored read-only, and
@@ -150,32 +148,3 @@ class SampledFunction:
 
     def with_values(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.grid, values, self.side)
-
-    def save(self, path: str | Path) -> None:
-        """Write raw row-major complex128 bytes plus a JSON sidecar.
-
-        The flat layout orders axes as all first-group axes then all
-        second-group axes. The sidecar at ``<path>.json`` carries the
-        grid, the side, and the descriptor when present.
-        """
-        path = Path(path)
-        path.write_bytes(np.ascontiguousarray(self.values).tobytes())
-        sidecar = {
-            "dtype": "complex128",
-            "order": "C",
-            "d1": self.grid.d1,
-            "d2": self.grid.d2,
-            "n": self.grid.n,
-            "extent": self.grid.extent,
-            "side": self.side,
-            "descriptor": self.descriptor,
-        }
-        path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SampledFunction":
-        path = Path(path)
-        sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        grid = GridSpec(sidecar["d1"], sidecar["d2"], sidecar["n"], sidecar["extent"])
-        values = np.frombuffer(path.read_bytes(), dtype=np.complex128).reshape(grid.shape)
-        return cls(grid, values.copy(), sidecar["side"], sidecar.get("descriptor"))

@@ -1,4 +1,4 @@
-"""Mixed Lebesgue norms on product grids, plus the Minkowski comparison.
+"""Mixed Lebesgue norms on product grids.
 
 ``mixed_norm`` evaluates the inner norm first, over one axis group, then
 the outer norm over the other group. Quadrature is the plain Riemann sum
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,17 +29,11 @@ from .transform import fourier, marginal_second
 
 __all__ = [
     "MixedNormSpec",
-    "MinkowskiComparison",
     "mixed_norm",
     "spectrum_norm",
     "plain_norm",
     "slice_norm",
-    "minkowski_compare",
 ]
-
-#: Slack for the Minkowski comparison, which holds to roundoff, not merely
-#: to quadrature accuracy.
-COMPARISON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,11 +58,6 @@ class MixedNormSpec:
     def standard(cls, outer: ExponentLike, inner: ExponentLike) -> "MixedNormSpec":
         """L^outer over the first group of the L^inner over the second."""
         return cls(outer, 1, inner)
-
-    @classmethod
-    def reversed(cls, outer: ExponentLike, inner: ExponentLike) -> "MixedNormSpec":
-        """L^outer over the second group of the L^inner over the first."""
-        return cls(outer, 0, inner)
 
 
 def _powers(values: np.ndarray, a: float, top: float | None = None) -> np.ndarray:
@@ -218,37 +206,4 @@ def slice_norm(
             return math.inf
         F._reductions[key] = magnitude
     return _magnitude_norm(magnitude, F.grid.freq_spacing ** F.grid.d1, as_exponent(a))
-
-
-class MinkowskiComparison(NamedTuple):
-    larger_outermost: float
-    smaller_outermost: float
-    holds: bool
-
-
-def minkowski_compare(
-    F: SampledFunction, a: ExponentLike, b: ExponentLike
-) -> MinkowskiComparison:
-    """Both evaluation orders of the (a, b) mixed norm, larger-exponent-
-    outermost first, with the verdict ``first <= second + 1e-10``.
-
-    ``a`` is bound to the first group and ``b`` to the second throughout;
-    only the evaluation order changes between the two numbers. On the
-    identity matrix with unit cells and (a, b) = (2, 1) this returns
-    (sqrt(2), 2).
-    """
-    ea, eb = as_exponent(a), as_exponent(b)
-    if ea == eb:
-        raise ValueError("equal exponents compare trivially; use distinct a, b")
-    if np.any(F.values.imag != 0.0):
-        raise ValueError("comparison is stated for norms; pass absolute values")
-    if np.any(F.values.real < 0.0):
-        raise ValueError(f"negative values present (min {F.values.real.min():.3g})")
-    a_outermost = mixed_norm(F, MixedNormSpec.standard(ea, eb))
-    b_outermost = mixed_norm(F, MixedNormSpec.reversed(eb, ea))
-    if ea > eb:
-        larger, smaller = a_outermost, b_outermost
-    else:
-        larger, smaller = b_outermost, a_outermost
-    return MinkowskiComparison(larger, smaller, larger <= smaller + COMPARISON_TOL)
 

@@ -9,8 +9,7 @@ side, stays inside the grid; a family that does not fit raises
 needed.
 
 Each generator tags its function with a descriptor, the plain dict
-``{"family", "parameters", "seed"}``; ``sample_descriptor`` rebuilds a
-Gaussian product or a random ensemble from it.
+``{"family", "parameters", "seed"}``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "random_ensemble",
     "shear_product",
     "near_delta_family",
-    "sample_descriptor",
 ]
 
 #: Amplitude tail level defining the essential support of a Gaussian term.
@@ -234,17 +232,3 @@ def near_delta_family(
     descriptor = {"family": "near_delta", "parameters": parameters, "seed": None}
     return SampledFunction(grid, values, SPACE, descriptor)
 
-
-def sample_descriptor(descriptor: dict | None, grid: GridSpec) -> SampledFunction:
-    """Rebuild a sampled function from its descriptor dict on the given grid."""
-    if descriptor is None:
-        raise ValueError("the input had no descriptor, so it cannot be rebuilt")
-    family = descriptor["family"]
-    params = descriptor.get("parameters", {})
-    if family == "gaussian_product":
-        return gaussian_product(grid, params["scales"])
-    if family == "random_ensemble":
-        if descriptor.get("seed") is None:
-            raise ValueError("a random ensemble descriptor needs a seed")
-        return random_ensemble(grid, params["complexity"], descriptor["seed"])
-    raise ValueError(f"family {family!r} cannot be reconstructed from a descriptor")

@@ -7,8 +7,11 @@ import gc
 import json
 import math
 import os
+import resource
 import select
 import shutil
+import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -521,6 +524,44 @@ def test_a_failed_write_leaves_a_symlink_out_in_place(capsys, tmp_path):
     assert link.is_symlink()
 
 
+def test_a_failed_write_leaves_an_existing_out_file_as_it_was(tmp_path):
+    """The child may write files of 2 KiB at most, and the artifact is
+    larger, so its write fails; the file named by ``--out`` keeps its
+    old bytes, and no temporary file is left beside it."""
+
+    def limit_file_size():  # runs in the child only
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (2048, resource.RLIM_INFINITY))
+
+    out = tmp_path / "x.jsonl"
+    out.write_text('{"kept": true}\n')
+    mode = out.stat().st_mode
+    argv = ["verify", "restriction", "--trials", "12", "--out", str(out)]
+    result = run_module(*argv, preexec_fn=limit_file_size)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: [Errno 27]")
+    assert out.read_text() == '{"kept": true}\n'
+    assert out.stat().st_mode == mode
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_an_out_file_gets_the_mode_open_would_give_it(capsys, tmp_path):
+    """An existing file keeps its permission bits when it is replaced; a new
+    one gets 0o666 less the umask."""
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("old\n")
+    old.chmod(0o640)
+    for path in (old, new):
+        code, _, _ = run(capsys, ["constants", "--r", "2", "--format", "json", "--out", str(path)])
+        assert code == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert old.read_text().startswith('{"config"')
+    assert sorted(tmp_path.iterdir()) == [new, old]
+
+
 @pytest.mark.parametrize("inequality", ["restriction", "variant", "same-order", "bilinear"])
 def test_no_second_group_is_a_usage_error_before_sampling(capsys, monkeypatch, inequality):
     calls = []
@@ -686,15 +727,17 @@ class TestParser:
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
-def run_module(*argv, **env):
+def run_module(*argv, preexec_fn=None, **env):
     """Run ``python -m mixnorm`` in a fresh interpreter on the code this
-    process imported, with ``env`` added to its environment."""
+    process imported, with ``env`` added to its environment; ``preexec_fn``
+    runs in the child before it starts."""
     package_root = str(Path(mixnorm.__file__).parent.parent)
     pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
     return subprocess.run(
         [sys.executable, "-m", "mixnorm", *argv],
         capture_output=True,
         text=True,
+        preexec_fn=preexec_fn,
         env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(pythonpath)},
     )
 

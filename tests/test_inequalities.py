@@ -20,6 +20,7 @@ from mixnorm.exponents import (
     beckner_constant,
     beckner_power,
 )
+from mixnorm.gaussians import GaussianMix
 from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.inequalities import (
     INEQUALITIES,
@@ -35,7 +36,7 @@ from mixnorm.inequalities import (
     run_suite,
 )
 from mixnorm.mixed_norms import MixedNormSpec, mixed_norm, slice_norm
-from mixnorm.sampling import gaussian_product, random_ensemble
+from mixnorm.sampling import GenerationError, gaussian_product, random_ensemble, shear_product
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
@@ -89,6 +90,79 @@ class TestGaussianSharpness:
             if not as_exponent(p) > as_exponent(s):
                 reports.append(check_same_order(F, p, s))
         assert max(abs(r.ratio - 1.0) for r in reports) <= 1e-12
+
+
+def gaussian_norm(k: float, e: Exponent) -> float:
+    """The L^e norm of e^{-pi k x^2} on R: (e k)^(-1/2e), and 1 at e = inf."""
+    return 1.0 if e.reciprocal == 0 else (float(e) * k) ** (-0.5 * float(e.reciprocal))
+
+
+def mixed_norm_closed_form(B, p: Exponent, s: Exponent, inner_group: int) -> float:
+    """The mixed norm of e^{-pi z^T B z} on R x R, B real positive definite:
+    L^s over group ``inner_group`` first, then L^p over the other. With b
+    the inner group's diagonal entry, completing the square leaves the
+    inner norm (s b)^(-1/2s) e^{-pi (det B / b) x^2} of the outer variable."""
+    (b00, b01), (_, b11) = B
+    inner = (b00, b11)[inner_group]
+    det = b00 * b11 - b01 * b01
+    return gaussian_norm(inner, s) * gaussian_norm(det / inner, p)
+
+
+@st.composite
+def sheared_gaussians(draw):
+    """F(x, y) = f(x) g(y - x) with f and g unit-height Gaussians of scales
+    a and c in [1/4, 4], one of 256 or 512 points per axis on extent 16, and
+    p <= s in [1, 2]. F is the real Gaussian e^{-pi z^T B z} with
+    B = [[a + c, -c], [-c, c]], and F-hat is (ac)^(-1/2) e^{-pi z^T B^-1 z}
+    with B^-1 = [[1/a, 1/a], [1/a, 1/a + 1/c]].
+
+    Every power |F-hat|^e' that the checks sum on the frequency grid, e'
+    the conjugate of p or s, is a Gaussian of scale at most e' (1/a + 1/c),
+    so its Riemann sum at spacing 1/16 is exact to 2 e^(-pi 16^2 / scale).
+    Draws where that exceeds 2 e^-35 (1.3e-15), or where the shear does not
+    fit the grid, are rejected."""
+    a, c = (2.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    grid = GridSpec(1, 1, draw(st.sampled_from([256, 512])), 16.0)
+    reciprocals = sorted(draw(st.fractions(Fraction(1, 2), 1, max_denominator=12)) for _ in "ps")
+    s, p = map(Exponent.from_reciprocal, reciprocals)
+    conjugates = [float(e.conjugate()) for e in (p, s)]
+    scale = max([e for e in conjugates if e < math.inf], default=0.0) * (1.0 / a + 1.0 / c)
+    assume(scale * 35.0 <= math.pi * grid.extent**2)
+    try:
+        F = shear_product(GaussianMix(1.0, a), GaussianMix(1.0, c), grid)
+    except GenerationError:
+        assume(False)
+    return F, a, c, p, s
+
+
+def assert_sheared_equality(F, a, c, p, s):
+    """Restriction and variant are equalities on any sheared Gaussian, and
+    same-order matches its closed form, each to 1e-14."""
+    assert abs(check_restriction(F, p).ratio - 1.0) <= 1e-14
+    assert abs(check_variant(F, p, s).ratio - 1.0) <= 1e-14
+    B = ((a + c, -c), (-c, c))
+    B_inverse = ((1.0 / a, 1.0 / a), (1.0 / a, 1.0 / a + 1.0 / c))
+    lhs = (a * c) ** -0.5 * mixed_norm_closed_form(B_inverse, p.conjugate(), s.conjugate(), 1)
+    bound = beckner_power(p, 1) * beckner_power(s, 1) * mixed_norm_closed_form(B, p, s, 1)
+    assert check_same_order(F, p, s).ratio == pytest.approx(lhs / bound, rel=1e-14, abs=0)
+
+
+class TestShearedGaussians:
+    @settings(deadline=None)
+    @given(case=sheared_gaussians())
+    def test_ratios_equal_their_closed_forms(self, case):
+        assert_sheared_equality(*case)
+
+    @pytest.mark.parametrize("factor", [1.0 - 1e-12, 1.0 + 1e-12])
+    def test_a_constant_off_by_1e_12_is_caught(self, monkeypatch, factor):
+        F = shear_product(GaussianMix(1.0, 2.0), GaussianMix(1.0, 0.5), GridSpec(1, 1, 256, 16.0))
+        case = (F, 2.0, 0.5, as_exponent("6/5"), as_exponent("3/2"))
+        assert_sheared_equality(*case)
+        monkeypatch.setattr(
+            inequalities, "beckner_power", lambda r, d: factor * beckner_power(r, d)
+        )
+        with pytest.raises(AssertionError):
+            assert_sheared_equality(*case)
 
 
 class TestRandomSuites:

@@ -88,7 +88,7 @@ def direct(inequality, F, G, exps):
         return lhs, bound, max(lhs, plain_norm(product, 1))
     p, s = (as_exponent(e) for e in exps)
     if inequality == "variant":
-        spec = MixedNormSpec.reversed(s.conjugate(), p.conjugate())
+        spec = MixedNormSpec(s.conjugate(), 0, p.conjugate())
     else:
         spec = MixedNormSpec.standard(p.conjugate(), s.conjugate())
     lhs = mixed_norm(fourier(fresh(F)), spec)
@@ -250,8 +250,8 @@ class TestSpectrumFill:
         F = fresh(ENSEMBLE[0])
         ranks = counter(monkeypatch, mixed_norms, "fourier")
         for outer in self.EXPONENTS:
-            for orient in (MixedNormSpec.standard, MixedNormSpec.reversed):
-                spec = orient(outer, inner)
+            for inner_group in (1, 0):
+                spec = MixedNormSpec(outer, inner_group, inner)
                 assert mixed_norms.spectrum_norm(F, spec) == mixed_norm(fourier(fresh(F)), spec)
         assert ranks == [2]
 

@@ -1,6 +1,5 @@
 """Generator families: containment, reproducibility, analytic closures."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixnorm.gaussians import GaussianMix, SeparableSum, unit_gaussian
-from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
+from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import (
     GenerationError,
     TAIL,
@@ -17,7 +16,6 @@ from mixnorm.sampling import (
     gaussian_product,
     near_delta_family,
     random_ensemble,
-    sample_descriptor,
     shear_product,
 )
 from mixnorm.sweeps import _auto_grid
@@ -381,13 +379,19 @@ def dropped(separable, coords):
     return 2 * ndim * 2.0 ** (-1022 / ndim) * peaks
 
 
+def lp_norm(f: GaussianMix, p: float) -> float:
+    """The continuum L^p norm of a one-term mixture, ``|c| (p a)^(-1/2p)``."""
+    (c,), (a,) = f.amplitude, f.scale
+    return abs(c) * (p * a) ** (-0.5 / p)
+
+
 class TestDilation:
     def test_lp_norm_preserved(self):
         f = unit_gaussian()
         for p in (1.0, 4.0 / 3.0, 2.0):
             for t in (0.5, 1.0, 2.0):
                 g = f.dilate(t, 1 / p)
-                assert g.lp_norm(p) == pytest.approx(f.lp_norm(p), rel=1e-12)
+                assert lp_norm(g, p) == pytest.approx(lp_norm(f, p), rel=1e-12)
 
     def test_t_one_is_identity(self):
         f = unit_gaussian()
@@ -426,7 +430,7 @@ class TestShearProduct:
         F = shear_product(f, g, GRID2)
         h = GRID2.spacing
         discrete = math.sqrt(float(np.sum(np.abs(F.values) ** 2)) * h * h)
-        assert discrete == pytest.approx(f.lp_norm(2) * g.lp_norm(2), rel=1e-10)
+        assert discrete == pytest.approx(lp_norm(f, 2) * lp_norm(g, 2), rel=1e-10)
 
     def test_values_follow_the_shear(self):
         f = unit_gaussian()
@@ -541,30 +545,21 @@ class TestNearDelta:
 
 
 class TestDescriptors:
-    def test_round_trip_through_save_and_load(self, tmp_path):
-        F = random_ensemble(GRID2, 3, seed=9)
-        for G, side in ((F, SPACE), (fourier(F), FREQUENCY)):
-            target = tmp_path / f"{side}.bin"
-            G.save(target)
-            assert json.loads((tmp_path / f"{side}.bin.json").read_text())["side"] == side
-            loaded = SampledFunction.load(target)
-            np.testing.assert_array_equal(loaded.values, G.values)
-            assert loaded.grid == G.grid
-            assert loaded.side == side
-            assert loaded.descriptor == G.descriptor
+    def test_a_descriptor_rebuilds_its_function(self):
+        """Its parameters are the generator's keyword arguments besides the
+        grid and the seed."""
+        F = gaussian_product(GRID2, [1.0, 2.0])
+        rebuilt = gaussian_product(GRID2, **F.descriptor["parameters"])
+        np.testing.assert_array_equal(rebuilt.values, F.values)
+        F = random_ensemble(GRID2, 4, seed=21)
+        rebuilt = random_ensemble(GRID2, **F.descriptor["parameters"], seed=F.descriptor["seed"])
+        np.testing.assert_array_equal(rebuilt.values, F.values)
 
-    def test_sample_descriptor_rebuilds_identical_values(self):
-        for build in (
-            lambda: gaussian_product(GRID2, [1.0, 2.0]),
-            lambda: random_ensemble(GRID2, 4, seed=21),
-        ):
-            F = build()
-            rebuilt = sample_descriptor(F.descriptor, GRID2)
-            np.testing.assert_array_equal(rebuilt.values, F.values)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            sample_descriptor({"family": "mystery", "parameters": {}, "seed": None}, GRID2)
+    def test_ensemble_descriptor_requires_seed(self):
+        F = random_ensemble(GRID2, 2, seed=7)
+        assert F.descriptor["seed"] == 7
+        with pytest.raises(TypeError, match="seed"):
+            random_ensemble(GRID2, **F.descriptor["parameters"])
 
     @pytest.mark.parametrize(
         "build",
@@ -575,10 +570,20 @@ class TestDescriptors:
         ids=["near_delta", "shear"],
     )
     def test_families_of_bare_mixtures_cannot_be_rebuilt(self, build):
-        # the descriptor records no closed form of the factors
+        # the descriptor records no closed form of the factors, so the
+        # generator cannot be called again from it
         F = build()
-        with pytest.raises(ValueError, match="cannot be reconstructed"):
-            sample_descriptor(F.descriptor, GRID2)
+        generator = {"near_delta": near_delta_family, "shear": shear_product}
+        with pytest.raises(TypeError, match="missing"):
+            generator[F.descriptor["family"]](grid=GRID2, **F.descriptor["parameters"])
+
+    def test_a_missing_descriptor_cannot_be_rebuilt(self):
+        # only a generator records a recipe; a derived function has none
+        F = random_ensemble(GRID2, 2, seed=3)
+        assert F.descriptor is not None
+        assert F.with_values(2 * F.values).descriptor is None
+        assert fourier(F).descriptor is None
+        assert SampledFunction(GRID2, F.values, SPACE).descriptor is None
 
     def test_sheared_family_descriptors(self):
         shear = shear_product(unit_gaussian(), unit_gaussian(), GRID2)
@@ -589,12 +594,3 @@ class TestDescriptors:
             "parameters": {"epsilon": 1.0, "shear": False},
             "seed": None,
         }
-
-    def test_a_missing_descriptor_cannot_be_rebuilt(self):
-        with pytest.raises(ValueError, match="no descriptor"):
-            sample_descriptor(None, GRID2)
-
-    def test_ensemble_descriptor_requires_seed(self):
-        desc = {"family": "random_ensemble", "parameters": {"complexity": 2}, "seed": None}
-        with pytest.raises(ValueError):
-            sample_descriptor(desc, GRID2)
