@@ -272,7 +272,8 @@ def _cmd_verify(args) -> int:
     reports = run_suite(inequality, functions, **selection)
     failures = sum(not r.degenerate and not r.passed for r in reports)
     degenerate = sum(r.degenerate for r in reports)
-    summary = {"summary": {"trials": len(reports), "failures": failures, "degenerate": degenerate}}
+    summary = {"summary": {"trials": args.trials, "checks": len(reports), "failures": failures,
+                           "degenerate": degenerate}}
     if args.format == "json":
         rows = [r.json_dict() for r in reports]
     else:

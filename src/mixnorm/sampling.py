@@ -151,12 +151,19 @@ def random_ensemble(grid: GridSpec, complexity: int, seed: int) -> SampledFuncti
     return sample_separable(separable, grid, descriptor)
 
 
-def shear_product(f_first: GaussianMix, g_second: GaussianMix, grid: GridSpec) -> SampledFunction:
+def shear_product(
+    f_first: GaussianMix, g_second: GaussianMix, grid: GridSpec, out: np.ndarray | None = None
+) -> SampledFunction:
     """Sample the sheared product ``F(x, y) = f(x) g(y - x)`` exactly.
 
     The sheared second argument is evaluated in closed form at the 2n - 1
     grid lags. Fails when the sheared support or the combined bandwidth
     leaves the grid.
+
+    With ``out``, a complex128 array of ``grid.shape``, the samples are
+    written into it and F reads them through a read-only view, so ``out``
+    stays the caller's writable buffer: a caller that drops F may then
+    transform it in place.
     """
     if grid.d1 != 1 or grid.d2 != 1:
         raise ValueError("the shear construction needs a 1+1 dimensional grid")
@@ -177,9 +184,9 @@ def shear_product(f_first: GaussianMix, g_second: GaussianMix, grid: GridSpec) -
     # row i is the window of the 2n - 1 lag values starting at lag -i.
     lags = g_second.evaluate(grid.spacing * np.arange(1 - grid.n, grid.n))
     toeplitz = sliding_window_view(lags, grid.n)[::-1]
-    values = f_first.evaluate(grid.space_coords())[:, None] * toeplitz
+    values = np.multiply(f_first.evaluate(grid.space_coords())[:, None], toeplitz, out=out)
     descriptor = {"family": "shear", "parameters": {}, "seed": None}
-    return SampledFunction(grid, values, SPACE, descriptor)
+    return SampledFunction(grid, values if out is None else out.view(), SPACE, descriptor)
 
 
 def _periodized_bump(u: np.ndarray, epsilon: float, period: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from .grids import GridSpec
 from .inequalities import SUITE_TOL, bilinear_sides
 from .mixed_norms import MixedNormSpec, mixed_norm, spectrum_norm
 from .sampling import TAIL, GenerationError, near_delta_family, sample_separable, shear_product
-from .transform import fourier
+from .transform import fourier_in_place
 
 __all__ = [
     "SweepReport",
@@ -203,17 +203,22 @@ def blowup_sweep(
     for t in t_values:
         f_t = f.dilate(t, p_recip)
         point_grid = _auto_grid(f_t, g)
-        F = shear_product(f_t, g, point_grid)
+        # F reads the sweep's own buffer through a read-only view and is
+        # dropped before the buffer is transformed in place, so F and Fhat
+        # never coexist: the sweep holds one grid array at a time.
+        values = np.empty(point_grid.shape, dtype=np.complex128)
+        F = shear_product(f_t, g, point_grid, out=values)
         rhs = mixed_norm(F, rhs_spec)
-        Fhat = fourier(F)
-        del F  # the sweep's memory peak is F and Fhat inside fourier, not later
+        del F
+        Fhat = fourier_in_place(values, point_grid)
+        del values  # Fhat owns the buffer now
         row, ridge = _sheared_transform(f_t, g, point_grid)
         # the oracle is built 64 rows at a time, never as a full grid
         blocks = range(0, point_grid.n, 64)
         diffs = [np.abs(Fhat.values[i : i + 64] - row * ridge[i : i + 64]).max() for i in blocks]
         oracle_errors.append(float(max(diffs)))
         lhs = mixed_norm(Fhat, lhs_spec)
-        del Fhat  # else it is still alive while the next point is transformed
+        del Fhat  # else it is still alive while the next point is sampled
         observed.append(lhs / rhs)
         rhs_values.append(rhs)
         grids.append({"n": point_grid.n, "extent": point_grid.extent})

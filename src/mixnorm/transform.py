@@ -7,9 +7,13 @@ with N even, so per axis
     F̂(ξ_k) = h · (−1)^{N/2} · (−1)^k · FFT[(−1)^j F(x_j)]_k
             = h · fftshift(FFT[ifftshift(F)])_k
 
-With N even, fftshift swaps the two halves of an axis, so it is undone
-in place on the FFT's own buffer: a transform holds two grid arrays, its
-input and its result.
+With N even, fftshift and ifftshift both swap the two halves of an axis,
+so both can be done in place. ``fourier`` keeps its input and shifts a
+copy of it, so it holds two grid arrays, its input and its result.
+``fourier_in_place`` takes a caller's writable space-side array and
+transforms it where it lies, so it holds one grid array: the result
+adopts the input's buffer. Both run the same FFT, unshift and scaling
+on the same shifted values, so their results agree bit for bit.
 
 There is no inverse: every check measures F̂ on the frequency side.
 """
@@ -20,10 +24,11 @@ import itertools
 
 import numpy as np
 
-from .grids import FREQUENCY, SPACE, SampledFunction
+from .grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 
 __all__ = [
     "fourier",
+    "fourier_in_place",
     "slice_second_zero",
     "marginal_second",
 ]
@@ -67,14 +72,37 @@ def fourier(F: SampledFunction) -> SampledFunction:
     """
     if F.side != SPACE:
         raise ValueError(f"F is on the {F.side} side; the forward transform needs the space side")
-    axes = list(range(F.values.ndim))
-    # ifftshift returns a fresh array, so the FFT may write into it and
-    # the result is shifted back in place: no third grid array.
-    values = np.fft.ifftshift(F.values, axes=axes)
+    # ifftshift returns a fresh array, faster than a copy swapped in place.
+    return _transform_shifted(np.fft.ifftshift(F.values), F.grid)
+
+
+def fourier_in_place(values: np.ndarray, grid: GridSpec) -> SampledFunction:
+    """``fourier`` of the space-side samples ``values``, written over them.
+
+    ``values`` must be a writable complex128 array of ``grid.shape`` that
+    no live ``SampledFunction`` reads. The caller gives it up: the
+    frequency-side result adopts the same buffer and makes it read-only,
+    so no second grid array is allocated. An array that does not qualify
+    is rejected before it is written.
+    """
+    if values.dtype != np.complex128:
+        raise ValueError(f"fourier_in_place needs complex128 samples, got {values.dtype}")
+    if values.shape != grid.shape:
+        raise ValueError(f"fourier_in_place needs samples of shape {grid.shape}, got {values.shape}")
+    if not values.flags.writeable:
+        raise ValueError("fourier_in_place needs writable samples")
+    _swap_halves(values, list(range(values.ndim)))  # ifftshift, as N is even
+    return _transform_shifted(values, grid)
+
+
+def _transform_shifted(values: np.ndarray, grid: GridSpec) -> SampledFunction:
+    """FFT, ``fftshift`` and h^k scaling, in place on ``values``: the
+    ``ifftshift``-ed samples, in an array that nothing else reads."""
+    axes = list(range(values.ndim))
     np.fft.fftn(values, axes=axes, out=values)
     _swap_halves(values, axes)
-    values *= F.grid.spacing ** len(axes)
-    return SampledFunction(F.grid, values, FREQUENCY)
+    values *= grid.spacing ** len(axes)
+    return SampledFunction(grid, values, FREQUENCY)
 
 
 def slice_second_zero(Fhat: SampledFunction) -> SampledFunction:

@@ -131,7 +131,17 @@ class TestVerify:
         assert len(reports) == 3
         assert all(r["pass"] for r in reports)
         summary = json.loads(lines[-1])["summary"]
-        assert summary == {"trials": 3, "failures": 0, "degenerate": 0}
+        assert summary == {"trials": 3, "checks": 3, "failures": 0, "degenerate": 0}
+
+    def test_bilinear_summary_counts_trials_and_checks_apart(self, capsys):
+        """Without exponents bilinear checks ten random tuples per trial:
+        the footer's ``trials`` is the echoed trial count, ``checks`` the rows."""
+        code, out, _ = run(capsys, ["verify", "bilinear", "--trials", "3"])
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[0]["config"]["trials"] == 3
+        assert len(lines[1:-1]) == 30
+        assert lines[-1]["summary"] == {"trials": 3, "checks": 30, "failures": 0, "degenerate": 0}
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

@@ -461,6 +461,15 @@ class TestShearProduct:
         values = shear_product(f, g, grid).values
         assert np.max(np.abs(values - direct)) <= 1e-13 * np.max(np.abs(direct))
 
+    def test_out_receives_the_same_samples_and_stays_writable(self):
+        f, g = unit_gaussian(), GaussianMix(1.0, 2.0)
+        out = np.empty(GRID2.shape, dtype=np.complex128)
+        F = shear_product(f, g, GRID2, out=out)
+        assert np.array_equal(out, shear_product(f, g, GRID2).values)
+        assert np.shares_memory(F.values, out) and F.values is not out
+        assert out.flags.writeable and not F.values.flags.writeable
+        assert F.descriptor == {"family": "shear", "parameters": {}, "seed": None}
+
     def test_support_failure_reports_extent(self):
         wide = GaussianMix(1.0, 0.02)
         with pytest.raises(GenerationError):

@@ -10,7 +10,7 @@ import pytest
 from mixnorm.gaussians import unit_gaussian
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
 from mixnorm.sampling import gaussian_product, near_delta_family, random_ensemble
-from mixnorm.transform import fourier, marginal_second, slice_second_zero
+from mixnorm.transform import fourier, fourier_in_place, marginal_second, slice_second_zero
 
 GRID2 = GridSpec.default()
 GRID1 = GridSpec.default(d2=0)
@@ -84,16 +84,69 @@ SHIFT_CASES = [
 ]
 
 
+def _space_values(grid: GridSpec, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+
+
+#: Both entries, each from a fresh writable complex128 array of samples.
+ENTRIES = {
+    "fourier": lambda values, grid: fourier(SampledFunction(grid, values, SPACE)),
+    "fourier_in_place": fourier_in_place,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("d1, d2, n", SHIFT_CASES)
-def test_transform_equals_the_shift_formula_bit_for_bit(d1, d2, n):
+def test_transform_equals_the_shift_formula_bit_for_bit(d1, d2, n, entry):
     """h^k · fftshift(fftn(ifftshift(v))) over every axis, with ``==``: the
-    in-place shift is the same permutation of the same FFT output."""
+    in-place shifts are the same permutations around the same FFT."""
     grid = GridSpec(d1, d2, n, 16.0)
-    rng = np.random.default_rng(n + 10 * d1 + 100 * d2)
-    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    F = SampledFunction(grid, values, SPACE)
-    expected = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values)))
-    assert np.array_equal(fourier(F).values, expected * grid.spacing**grid.ndim)
+    values = _space_values(grid, n + 10 * d1 + 100 * d2)
+    expected = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values))) * grid.spacing**grid.ndim
+    Fhat = ENTRIES[entry](values, grid)
+    assert Fhat.side == FREQUENCY and Fhat.grid == grid
+    assert np.array_equal(Fhat.values, expected)
+
+
+class TestFourierInPlace:
+    GRID = GridSpec.default(n=64)
+
+    def test_the_result_adopts_the_input_buffer(self):
+        values = _space_values(self.GRID, 1)
+        Fhat = fourier_in_place(values, self.GRID)
+        assert Fhat.values is values
+        assert not values.flags.writeable
+
+    def test_allocates_no_second_grid_array(self):
+        grid = GridSpec.default(n=512, extent=32.0)
+        fourier_in_place(_space_values(grid, 2), grid)  # warm-up: lazily built FFT plans
+        values = _space_values(grid, 3)
+        tracemalloc.start()
+        try:
+            fourier_in_place(values, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * values.nbytes
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda v: SampledFunction(TestFourierInPlace.GRID, v, SPACE).values, "writable"),
+            (lambda v: v.real.copy(), r"complex128 samples, got float64"),
+            (lambda v: v.astype(np.complex64), r"complex128 samples, got complex64"),
+            (lambda v: v[:, :-2].copy(), r"shape \(64, 64\), got \(64, 62\)"),
+            (lambda v: v.reshape(-1).copy(), r"shape \(64, 64\), got \(4096,\)"),
+        ],
+        ids=["read-only", "float64", "complex64", "narrow", "flat"],
+    )
+    def test_an_unfit_array_is_rejected_before_it_is_written(self, make, message):
+        values = make(_space_values(self.GRID, 4))
+        before = values.copy()
+        with pytest.raises(ValueError, match=message):
+            fourier_in_place(values, self.GRID)
+        assert np.array_equal(values, before)
 
 
 class TestGridSpec:

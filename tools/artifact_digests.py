@@ -1,4 +1,4 @@
-"""Digest a fixed set of 38 ``mixnorm`` command-line runs, one line per run.
+"""Digest a fixed set of 39 ``mixnorm`` command-line runs, one line per run.
 
 Each invocation runs as ``python3 -m mixnorm ...`` in a fresh interpreter
 with the caller's ``PYTHONPATH`` (relative entries made absolute) and an
@@ -70,6 +70,8 @@ INVOCATIONS: list[list[str]] = [
         )
     ),
     ["sweep", "blowup", "--p", "2", "--s", "4/3", "--format", "csv", "--out", "blowup.csv"],
+    # a second amplitude law through the in-place transform
+    ["sweep", "blowup", "--p", "3/2", "--s", "5/4", "--format", "json"],
     ["sweep", "delta", "--p", "4/3", "--grid-n", "256", "--grid-l", "12", "--format", "json",
      "--out", "delta.json"],
     ["sweep", "necessity", "--p", "2", "--s", "2", "--q", "2", "--t", "2", "--r", "inf",
