@@ -11,7 +11,6 @@ from mixnorm import (
     SampledFunction,
     gaussian_product,
     mixed_norm,
-    plain_norm,
 )
 from mixnorm.grids import SPACE
 
@@ -25,7 +24,9 @@ p, s = 4.0 / 3.0, 2.0
 computed = mixed_norm(F, MixedNormSpec.standard("4/3", 2))
 closed = p ** (-0.5 / p) * (2.0 * s) ** (-0.5 / s)
 print(f"mixed (4/3, 2) norm: {computed:.12f}  closed form: {closed:.12f}")
-print(f"plain L^2 norm:      {plain_norm(F, 2):.12f}  closed form: {(2*1.0)**-0.25 * (2*2.0)**-0.25:.12f}")
+# L^2 of L^2 is L^2
+l2 = mixed_norm(F, MixedNormSpec.standard(2, 2))
+print(f"plain L^2 norm:      {l2:.12f}  closed form: {(2*1.0)**-0.25 * (2*2.0)**-0.25:.12f}")
 
 # ----------------------------------------------------------------------
 # The 2x2 identity matrix with unit cells separates the two orders:

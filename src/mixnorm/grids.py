@@ -34,7 +34,7 @@ class GridSpec:
     """Uniform discretization shared by the space and frequency sides."""
 
     d1: int
-    d2: int  # 0 for a single-factor domain: marginals, slices, plain Hausdorff-Young
+    d2: int  # 0 for a single-factor domain, whose second axis group is empty
     n: int = 256
     extent: float = 16.0
 
@@ -120,6 +120,8 @@ class SampledFunction:
     analytic: Any = None
 
     def __post_init__(self):
+        if self.side not in (SPACE, FREQUENCY):
+            raise ValueError(f"side must be 'space' or 'frequency', got {self.side!r}")
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != self.grid.shape:
             raise ValueError(
@@ -129,17 +131,8 @@ class SampledFunction:
             raise NonFiniteValues("sampled values must all be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.side not in (SPACE, FREQUENCY):
-            raise ValueError(f"side must be 'space' or 'frequency', got {self.side!r}")
         object.__setattr__(self, "_reductions", {})
         object.__setattr__(self, "_serial", next(_SERIALS))
-
-    def group_axes(self, group: int) -> tuple[int, ...]:
-        if group == 0:
-            return self.grid.first_axes
-        if group == 1 and self.grid.d2 > 0:
-            return self.grid.second_axes
-        raise ValueError(f"no axis group {group} on this grid")
 
     @property
     def cell_width(self) -> float:

@@ -32,7 +32,7 @@ from .exponents import (
     beckner_power,
 )
 from .grids import GridSpec, SampledFunction
-from .mixed_norms import MixedNormSpec, mixed_norm, plain_norm, slice_norm, spectrum_norm
+from .mixed_norms import MixedNormSpec, mixed_norm, slice_norm, spectrum_norm
 from .sampling import random_ensemble
 
 # Unused here: the benchmark's self-test reads this binding to check that
@@ -157,17 +157,20 @@ def _selections(inequality_id: str, p=None, s=None, exponent_tuples=None) -> lis
     return [exponents]
 
 
+def _check_groups(inequality_id: str, F: SampledFunction) -> None:
+    """Raise unless F has one group (d2 = 0) exactly when the entry says so."""
+    if INEQUALITIES[inequality_id].one_group != (F.grid.d2 == 0):
+        raise ValueError(f"{inequality_id} does not apply to functions with d2 = {F.grid.d2}")
+
+
 def _slice_check(inequality_id: str, F: SampledFunction, p: ExponentLike) -> RatioReport:
     """Restriction, or Hausdorff-Young on one group, where the slice is
     all of F-hat and the (p, 1) norm is the L^p norm."""
     [(p,)] = _selections(inequality_id, p)
-    one_group = INEQUALITIES[inequality_id].one_group
-    if one_group and F.grid.d2 != 0:  # mixed_norm rejects a one-group restriction
-        raise ValueError(f"{inequality_id} applies to one-group functions")
+    _check_groups(inequality_id, F)
     lhs = slice_norm(F, p.conjugate())
-    norm = plain_norm(F, p) if one_group else mixed_norm(F, MixedNormSpec.standard(p, _ONE))
-    bound = beckner_power(p, F.grid.d1) * norm
-    functions = {"f" if one_group else "F": F.descriptor}
+    bound = beckner_power(p, F.grid.d1) * mixed_norm(F, MixedNormSpec.standard(p, _ONE))
+    functions = {"f" if F.grid.d2 == 0 else "F": F.descriptor}
     return _build_report(inequality_id, lhs, bound, {"p": str(p)}, functions)
 
 
@@ -176,6 +179,7 @@ def _spectrum_check(inequality_id: str, F: SampledFunction, p, s, inner_group: i
     second, inner norm over ``inner_group``, against C_p^{d1} C_s^{d2}
     times the (p, s) mixed norm of F: variant (0) or same-order (1)."""
     [(p, s)] = _selections(inequality_id, p, s)
+    _check_groups(inequality_id, F)
     conjugates = (p.conjugate(), s.conjugate())
     lhs_spec = MixedNormSpec(conjugates[1 - inner_group], inner_group, conjugates[inner_group])
     lhs = spectrum_norm(F, lhs_spec)
@@ -199,8 +203,7 @@ def bilinear_sides(F: SampledFunction, G: SampledFunction, exponents: ExponentTu
     admissibility gate: the r-norm of (F·G)-hat on the slice xi'' = 0, and
     C_{r'}^{d1} times the (p, s) norm of F and the (q, t) norm of G. The
     constant needs r >= 2."""
-    if F.grid != G.grid or F.side != G.side:
-        raise ValueError("factors must share a grid and side")
+    _check_groups("bilinear", F)
     lhs = slice_norm(F, exponents.r, G)
     bound = beckner_power(exponents.r.conjugate(), F.grid.d1)
     bound *= mixed_norm(F, MixedNormSpec.standard(exponents.p, exponents.s))

@@ -8,12 +8,14 @@ an exact maximum of absolute values with no measure factor.
 Each function's memo belongs to this module alone. An inner reduction of
 F or of F-hat is kept under (spectrum, inner group, inner exponent), so a
 repeated norm redoes only the outer layer; ``slice_norm`` keeps the slice
-magnitude under ("slice", partner serial).
+magnitude under ("slice", partner serial). A one-group function (d2 = 0)
+has an empty second group, which a reduction leaves as it is (weight
+h⁰ = 1): its (p, 1) norm is its L^p norm, and its memo keeps |F|.
 
 A memo miss reads the complex array in blocks of whole rows of axis 0,
 about 4 MiB each, and takes each block's magnitudes, powers and sums on
-their own. No full-grid float array is made, and every stage equals the
-one reduced from the whole array, bit for bit.
+their own. No full-grid float array is made but a one-group |F|, and
+every stage equals the one reduced from the whole array, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "MixedNormSpec",
     "mixed_norm",
     "spectrum_norm",
-    "plain_norm",
     "slice_norm",
 ]
 
@@ -136,14 +137,13 @@ def _memo_norm(F: SampledFunction, spec: MixedNormSpec, spectrum: bool) -> float
     groups at the same exponents, so a spectrum miss fills both groups'
     reductions from one transform and one power pass.
     """
-    if F.grid.d2 == 0:
-        raise ValueError("mixed norms need both axis groups; use plain_norm instead")
     key = (spectrum, spec.inner_group, spec.inner_exponent)
     stage = F._reductions.get(key)
     if stage is None:
         G = fourier(F) if spectrum else F
         groups = (0, 1) if spectrum else (spec.inner_group,)
-        layers = [(G.group_axes(g), G.cell_width ** len(G.group_axes(g))) for g in groups]
+        axes = (F.grid.first_axes, F.grid.second_axes)
+        layers = [(axes[g], G.cell_width ** len(axes[g])) for g in groups]
         stages = _inner_stages(G.values, layers, spec.inner_exponent)
         for group, stage in zip(groups, stages):
             F._reductions[(spectrum, group, spec.inner_exponent)] = stage
@@ -163,11 +163,6 @@ def spectrum_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
     """``mixed_norm(fourier(F), spec)``, transforming F only when its memo
     lacks the inner reduction."""
     return _memo_norm(F, spec, spectrum=True)
-
-
-def plain_norm(F: SampledFunction, a: ExponentLike) -> float:
-    """The unmixed L^a norm over every axis at once."""
-    return _magnitude_norm(np.abs(F.values), F.cell_width**F.grid.ndim, as_exponent(a))
 
 
 @np.errstate(over="ignore")
@@ -193,15 +188,15 @@ def slice_norm(
     or transform that overflows gives an infinite norm, which marks its
     trial degenerate, and is not kept.
     """
+    if partner is not None and (partner.grid != F.grid or partner.side != F.side):
+        raise ValueError("factors must share a grid and side")
     key = ("slice", None if partner is None else partner._serial)
     magnitude = F._reductions.get(key)
     if magnitude is None:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 product = F if partner is None else F.with_values(F.values * partner.values)
-                if F.grid.d2 > 0:
-                    product = marginal_second(product)
-                magnitude = np.abs(fourier(product).values)
+                magnitude = np.abs(fourier(marginal_second(product)).values)
         except NonFiniteValues:
             return math.inf
         F._reductions[key] = magnitude

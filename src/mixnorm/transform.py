@@ -109,12 +109,10 @@ def slice_second_zero(Fhat: SampledFunction) -> SampledFunction:
     """Restrict a full frequency-side array to the hyperplane ξ'' = 0.
 
     The centered dual grid puts 0 at index n//2 on every axis, so the
-    restriction is an exact extraction, no interpolation. Equals the
-    transform of the second-group marginal up to quadrature error.
+    restriction is an exact extraction (all of Fhat when d2 = 0). Equals
+    the transform of the second-group marginal up to quadrature error.
     """
     grid = Fhat.grid
-    if grid.d2 == 0:
-        raise ValueError("grid has no second axis group to slice away")
     if Fhat.side != FREQUENCY:
         raise ValueError("slice_second_zero needs the frequency-side array")
     values = Fhat.values
@@ -129,11 +127,9 @@ def marginal_second(F: SampledFunction) -> SampledFunction:
 
     Plain h-weighted Riemann sum, which on the periodic grid is the
     trapezoid rule and is spectrally accurate for the generated
-    families.
+    families. With d2 = 0 the marginal is F itself, of weight h⁰ = 1.
     """
     grid = F.grid
-    if grid.d2 == 0:
-        raise ValueError("grid has no second axis group to integrate")
     if F.side != SPACE:
         raise ValueError("marginal_second needs the space-side array")
     weight = grid.spacing ** grid.d2

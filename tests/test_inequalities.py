@@ -25,6 +25,7 @@ from mixnorm.grids import SPACE, GridSpec, SampledFunction
 from mixnorm.inequalities import (
     INEQUALITIES,
     INEQUALITY_IDS,
+    bilinear_sides,
     check_bilinear,
     check_hausdorff_young,
     check_restriction,
@@ -309,10 +310,23 @@ class TestValidation:
             check_restriction(GAUSSIAN2, 3)
         with pytest.raises(ValueError):
             check_variant(GAUSSIAN2, "5/2", 2)
-        with pytest.raises(ValueError):
-            check_hausdorff_young(GAUSSIAN2, 2)  # two-group input
-        with pytest.raises(ValueError):
-            check_restriction(GAUSSIAN1, 2)  # one-group input
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: check_restriction(GAUSSIAN1, 2),
+            lambda: check_bilinear(GAUSSIAN1, GAUSSIAN1, ExponentTuple(2, 2, 2, 2, "inf")),
+            lambda: bilinear_sides(GAUSSIAN1, GAUSSIAN1, ExponentTuple(2, 2, 2, 2, "inf")),
+            lambda: check_variant(GAUSSIAN1, "4/3", "3/2"),
+            lambda: check_same_order(GAUSSIAN1, "4/3", "3/2"),
+            lambda: check_hausdorff_young(GAUSSIAN2, 2),
+        ],
+        ids=["restriction", "bilinear", "bilinear_sides", "variant", "same_order",
+             "hausdorff_young"],
+    )
+    def test_a_function_with_the_wrong_group_count_is_rejected(self, call):
+        with pytest.raises(ValueError, match=r"does not apply to functions with d2 = [01]$"):
+            call()
 
     def test_same_order_rejects_reversed_exponents(self):
         with pytest.raises(ValueError, match="blowup"):

@@ -9,12 +9,7 @@ import pytest
 from mixnorm import mixed_norms
 from mixnorm.exponents import Exponent, as_exponent
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
-from mixnorm.mixed_norms import (
-    MixedNormSpec,
-    mixed_norm,
-    plain_norm,
-    spectrum_norm,
-)
+from mixnorm.mixed_norms import MixedNormSpec, mixed_norm, slice_norm, spectrum_norm
 from mixnorm.sampling import gaussian_product, random_ensemble
 from mixnorm.transform import fourier
 
@@ -30,6 +25,11 @@ UNIT_MASS = GridSpec(1, 1, n=4, extent=1.0)
 
 def on_grid(grid, values):
     return SampledFunction(grid, np.asarray(values, dtype=complex), SPACE)
+
+
+def plain_norm(F, a):
+    """The unmixed L^a norm over every axis at once, from the whole magnitude array."""
+    return mixed_norms._magnitude_norm(np.abs(F.values), F.cell_width**F.grid.ndim, as_exponent(a))
 
 
 def assert_plain_riemann_sums(outer, inner):
@@ -169,10 +169,34 @@ class TestMixedNorm:
             total = mixed_norm(F.with_values(F.values + G.values), spec)
             assert total <= mixed_norm(F, spec) + mixed_norm(G, spec) + 1e-10
 
-    def test_needs_two_groups(self):
-        f = gaussian_product(GRID1, [1.0])
-        with pytest.raises(ValueError):
-            mixed_norm(f, MixedNormSpec.standard(2, 2))
+
+#: The exponents of the one-group comparisons, 1 and infinity included.
+ONE_GROUP_EXPONENTS = ["1", "4/3", "3/2", "2", "3", "9", "inf"]
+
+
+class TestEmptySecondGroup:
+    """A one-group function (d2 = 0) has the empty axis tuple as its second
+    group, whose reduction is the identity with cell weight h⁰ = 1."""
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["d1=1", "d1=2"])
+    def f(self, request):
+        return random_ensemble(GridSpec.default(d1=request.param, d2=0), 6, seed=3)
+
+    @pytest.mark.parametrize("inner", ["1", "inf"])
+    @pytest.mark.parametrize("p", ONE_GROUP_EXPONENTS)
+    def test_an_inner_one_or_infinity_gives_the_plain_norm_bit_for_bit(self, f, p, inner):
+        assert mixed_norm(f, MixedNormSpec.standard(p, inner)) == plain_norm(f, p)
+
+    @pytest.mark.parametrize("inner", ["4/3", "2", "3"])
+    def test_another_inner_exponent_gives_it_to_rounding(self, f, inner):
+        """The inner layer raises each |f| to the power s and back."""
+        for p in ONE_GROUP_EXPONENTS:
+            got = mixed_norm(f, MixedNormSpec.standard(p, inner))
+            assert got == pytest.approx(plain_norm(f, p), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("p", ONE_GROUP_EXPONENTS)
+    def test_a_spectrum_norm_is_the_plain_norm_of_the_transform(self, f, p):
+        assert spectrum_norm(f, MixedNormSpec.standard(p, 1)) == plain_norm(fourier(f), p)
 
 
 class TestBlockedReduction:
@@ -216,7 +240,7 @@ class TestBlockedReduction:
                 norm(F, spec)
                 G = fourier(F) if spectrum else F
                 for group in (0, 1) if spectrum else (spec.inner_group,):
-                    axes = G.group_axes(group)
+                    axes = (grid.first_axes, grid.second_axes)[group]
                     weight = G.cell_width ** len(axes)
                     expected = whole_array_stage(G.values, axes, weight, float(e))
                     assert np.array_equal(F._reductions[(spectrum, group, e)], expected)
@@ -246,6 +270,24 @@ class TestBlockedReduction:
         assert peak < 0.5 * F.values.nbytes
         expected = whole_array_stage(F.values, (1,), grid.spacing, 3.0)
         assert np.array_equal(F._reductions[(False, 1, as_exponent(3))], expected)
+
+
+class TestSliceNorm:
+    @pytest.mark.parametrize(
+        "partner",
+        [
+            lambda: random_ensemble(GRID1, 6, seed=4),
+            lambda: random_ensemble(GridSpec(1, 1, 256, 12.0), 6, seed=4),
+            lambda: fourier(random_ensemble(GRID2, 6, seed=4)),
+        ],
+        ids=["one-group", "extent-12", "frequency-side"],
+    )
+    def test_a_partner_on_another_grid_or_side_is_rejected(self, partner):
+        """F·partner would broadcast or mix sides; nothing is kept."""
+        F = random_ensemble(GRID2, 6, seed=3)
+        with pytest.raises(ValueError, match="factors must share a grid and side"):
+            slice_norm(F, 4, partner())
+        assert F._reductions == {}
 
 
 class TestPlainNorm:

@@ -20,7 +20,7 @@ def _load(path):
 
 def test_every_digest_invocation_parses():
     invocations = _load(DIGESTS).INVOCATIONS
-    assert len({tuple(argv) for argv in invocations}) == len(invocations) == 39
+    assert len({tuple(argv) for argv in invocations}) == len(invocations) == 40
     parser = cli._build_parser()
     for argv in invocations:
         parser.parse_args(argv)  # argparse exits on an unknown flag or choice

@@ -180,6 +180,13 @@ class TestSampledFunction:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SampledFunction(GRID2, np.zeros(GRID2.shape), side)
 
+    def test_a_bad_side_leaves_the_callers_array_writable(self):
+        """The side is checked before the array is adopted."""
+        a = np.zeros(GRID2.shape, dtype=np.complex128)
+        with pytest.raises(ValueError, match="side"):
+            SampledFunction(GRID2, a, "spce")
+        assert a.flags.writeable
+
 
 class TestSliceAndMarginal:
     def test_slice_of_product_gaussian(self):
@@ -233,9 +240,12 @@ class TestSliceAndMarginal:
             direct = fourier(marginal_second(F))
             assert np.max(np.abs(sliced.values - direct.values)) <= 1e-8
 
-    def test_one_group_grid_has_nothing_to_slice(self):
-        f = gaussian_product(GRID1, [1.0])
-        with pytest.raises(ValueError):
-            marginal_second(f)
-        with pytest.raises(ValueError):
-            slice_second_zero(fourier(f))
+    @pytest.mark.parametrize("d1", [1, 2])
+    def test_an_empty_second_group_keeps_every_axis(self, d1):
+        """With d2 = 0 the marginal is f and the slice is all of f-hat."""
+        f = random_ensemble(GridSpec.default(d1=d1, d2=0), 6, seed=3)
+        marginal = marginal_second(f)
+        assert marginal.grid == f.grid and np.array_equal(marginal.values, f.values)
+        fhat = fourier(f)
+        sliced = slice_second_zero(fhat)
+        assert sliced.grid == fhat.grid and np.array_equal(sliced.values, fhat.values)

@@ -1,4 +1,4 @@
-"""Digest a fixed set of 39 ``mixnorm`` command-line runs, one line per run.
+"""Digest a fixed set of 40 ``mixnorm`` command-line runs, one line per run.
 
 Each invocation runs as ``python3 -m mixnorm ...`` in a fresh interpreter
 with the caller's ``PYTHONPATH`` (relative entries made absolute) and an
@@ -56,6 +56,8 @@ INVOCATIONS: list[list[str]] = [
     ["verify", "variant", "--p", "4/3", "--s", "3/2", "--grid-n", "1024", "--trials", "2"],
     # three axes: the only run that folds leading axes before the rank-K contraction
     ["verify", "restriction", "--d1", "2", "--d2", "1", "--grid-n", "176", "--trials", "1"],
+    # the only run that reduces an empty second group over two axes
+    ["verify", "hausdorff-young", "--d1", "2", "--trials", "2"],
     # every flag of every target, defaults spelled out where another value costs more
     *(
         ["verify", inequality, *exponents, "--d1", "1", *d2, "--grid-n", "192", "--grid-l", "16",
