@@ -7,9 +7,9 @@ exact ``Fraction``: a float input becomes the rational it represents
 exactly, so the exponent relations are decided without any tolerance.
 
 There is one ``Exponent`` per reciprocal, so equal exponents are the same
-object and compare and hash by identity. Its float, string, conjugate and
-sharp constant are set when it is made; an ``ExponentTuple`` decides its
-admissibility once.
+object and compare and hash by identity. Its float, string, conjugate,
+sharp constant and power kernel are set when it is made; an
+``ExponentTuple`` decides its admissibility once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ ExponentLike = Union["Exponent", int, float, str, Fraction]
 class Exponent:
     """A Lebesgue exponent in [1, inf], held through its reciprocal."""
 
-    __slots__ = ("_recip", "_float", "_str", "_conjugate", "_beckner")
+    __slots__ = ("_recip", "_float", "_str", "_conjugate", "_beckner", "_kernel")
 
     #: The one instance per reciprocal, for each distinct exponent made.
     _instances: dict[Fraction, "Exponent"] = {}
@@ -85,6 +85,13 @@ class Exponent:
         elif Fraction(1, 2) < recip < 1:
             rv, tv = e._float, e._float / (e._float - 1.0)
             e._beckner = rv ** (1.0 / (2.0 * rv)) * tv ** (-1.0 / (2.0 * tv))
+        # The power kernel: (k, j, d) for an exponent k + j/d with d in 1, 2
+        # or 3, whose powers take squarings and one root; None for pow. The
+        # exponent's denominator is the reciprocal's numerator.
+        e._kernel = None
+        if recip.numerator in (1, 2, 3):
+            k, j = divmod(recip.denominator, recip.numerator)
+            e._kernel = (k, j, recip.numerator)
         # The code is single-threaded, so the insert always stores e. The
         # conjugate is made after it, so that its own conjugate finds e.
         e = cls._instances.setdefault(recip, e)

@@ -28,6 +28,30 @@ class NonFiniteValues(ValueError):
 #: Construction serials of ``SampledFunction`` objects.
 _SERIALS = itertools.count()
 
+#: Bytes of samples per block of the finiteness check.
+_FINITE_BLOCK_BYTES = 1 << 20
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """``np.all(np.isfinite(values))`` for complex128 ``values``, read in
+    blocks of whole rows of at most 1 MiB, so the mask stays small.
+
+    A complex value is finite exactly when both of its parts are, so a
+    contiguous block is checked through its float64 view, which interleaves
+    the two parts; NumPy's float isfinite is vectorized, its complex one is
+    not. Nothing is copied.
+    """
+    if values.ndim > 1 and values[0].nbytes > _FINITE_BLOCK_BYTES:
+        return all(_all_finite(row) for row in values)
+    rows = max(1, _FINITE_BLOCK_BYTES // values[0].nbytes)
+    for start in range(0, len(values), rows):
+        block = values[start : start + rows]
+        if block.flags.c_contiguous:
+            block = block.view(np.float64)
+        if not np.isfinite(block).all():
+            return False
+    return True
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -127,7 +151,7 @@ class SampledFunction:
             raise ValueError(
                 f"value shape {values.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise NonFiniteValues("sampled values must all be finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

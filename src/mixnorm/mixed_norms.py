@@ -16,6 +16,11 @@ A memo miss reads the complex array in blocks of whole rows of axis 0,
 about 4 MiB each, and takes each block's magnitudes, powers and sums on
 their own. No full-grid float array is made but a one-group |F|, and
 every stage equals the one reduced from the whole array, bit for bit.
+
+Each exponent's exact value picks its power kernel: squarings for an
+integer, one square root for a half-integer, one cube root for a third,
+and pow for any other. Powers are taken in the buffer of each block's
+own magnitudes, and in a copy of a memo entry, which is never written.
 """
 
 from __future__ import annotations
@@ -61,24 +66,71 @@ class MixedNormSpec:
         return cls(outer, 1, inner)
 
 
-def _powers(values: np.ndarray, a: float, top: float | None = None) -> np.ndarray:
-    """``values**a``, except that for 2 < a <= 12 a term whose power is
-    under 2^-1022 of the largest power is 0. ``top`` is the largest value of
-    the array that ``values`` is a block of; by default ``values.max()``.
+def _powers(values: np.ndarray, e: Exponent, top: float | None = None) -> np.ndarray:
+    """``_power_kernel(values, e)``, except that for 2 < e <= 12 a term
+    whose power is under 2^-1022 of the largest power is 0. ``top`` is the
+    largest value of the array that ``values`` is a block of; by default
+    ``values.max()``.
 
     glibc's pow takes a slow path wherever its result underflows, on nearly
-    a third of a sampled ensemble at a = 9. A skipped term cannot move a sum
-    that holds the largest term, and a row made only of skipped terms has a
-    norm under 2^-83 of the largest row's on grids of up to 2^22 points per
-    group, so no outer layer sees it either; above a = 12 that bound fails.
-    A NaN maximum skips nothing, so NaN still propagates.
+    a third of a sampled ensemble at e = 9, and a product whose result is
+    subnormal costs some thirty normal ones. A skipped term's power is under
+    2^-1022 of the largest, which every kernel's few roundings move by far
+    less than 2^30. So it cannot move a sum that holds the largest term,
+    and a row made only of skipped terms has a norm under 2^-80 of the
+    largest row's on grids of up to 2^22 points per group, so no outer
+    layer sees it either; above e = 12 that bound fails. A NaN maximum
+    skips nothing, so NaN still propagates.
     """
-    if not 2.0 < a <= 12.0:
-        return values**a
-    floor = (values.max() if top is None else top) * 2.0 ** (-1022.0 / a)
-    if not floor > 0.0:
-        return values**a
-    return np.power(values, a, out=np.zeros_like(values), where=values >= floor)
+    a = float(e)
+    if 2.0 < a <= 12.0:
+        floor = (values.max() if top is None else top) * 2.0 ** (-1022.0 / a)
+        if floor > 0.0:
+            values[values < floor] = 0.0
+    return _power_kernel(values, e)
+
+
+def _power_kernel(values: np.ndarray, e: Exponent) -> np.ndarray:
+    """``values**e`` in ``values``' own buffer, which the caller gives up.
+
+    The kernel follows from e's exact value:
+    - an integer k: square-and-multiply;
+    - k + 1/2: values^k · sqrt(values);
+    - k + 1/3 or k + 2/3: values^k times cbrt(values), or its square;
+    - any other exponent: ``np.power``.
+    Each intermediate is a power v^j with 0 < j <= e, which lies between 1
+    and v^e, so it overflows or underflows only where the result does.
+    Multiplication and ``np.sqrt`` are correctly rounded, so the integer
+    and half-integer kernels give the same bits on every SIMD path;
+    ``np.power`` and ``np.cbrt`` need not.
+    """
+    if e._kernel is None:
+        return np.power(values, float(e), out=values)
+    k, j, d = e._kernel
+    root = None
+    if d > 1:  # the root reads the values before v^k overwrites them
+        root = np.sqrt(values) if d == 2 else np.cbrt(values)
+        if j == 2:
+            np.square(root, out=root)
+    values = _integer_power(values, k)
+    if root is not None:
+        np.multiply(values, root, out=values)
+    return values
+
+
+def _integer_power(values: np.ndarray, k: int) -> np.ndarray:
+    """``values**k`` for an integer k >= 1 by left-to-right square-and-
+    multiply: the odd part m of k = m·2^z, then z squarings. An odd part
+    above 1 reads ``values`` again, so only it makes a second array."""
+    z = (k & -k).bit_length() - 1
+    result = values
+    for bit in bin(k >> z)[3:]:
+        result = np.square(result, out=None if result is values else result)
+        if bit == "1":
+            np.multiply(result, values, out=result)
+    for _ in range(z):
+        np.square(result, out=result)
+    return result
 
 
 #: Bytes of complex input per block of a memo-miss reduction. A 256² array
@@ -112,7 +164,7 @@ def _inner_stages(
     for block in blocks:
         terms = np.abs(block)
         if a not in (1.0, math.inf):
-            terms = _powers(terms, a, top)
+            terms = _powers(terms, e, top)
         for (axes, _), part in zip(layers, parts):
             if 0 not in axes:
                 part.append(reduce(terms, axis=axes))
@@ -166,14 +218,16 @@ def spectrum_norm(F: SampledFunction, spec: MixedNormSpec) -> float:
 
 
 @np.errstate(over="ignore")
-def _magnitude_norm(magnitude: np.ndarray, weight: float, a: Exponent) -> float:
-    """The L^a norm over every axis of an array of magnitudes with cell weight ``weight``."""
-    a = float(a)
+def _magnitude_norm(magnitude: np.ndarray, weight: float, e: Exponent) -> float:
+    """The L^e norm over every axis of an array of magnitudes with cell
+    weight ``weight``. The array may be a memo entry, so its powers are
+    taken in a copy."""
+    a = float(e)
     if a == math.inf:
         return float(magnitude.max())
     if a == 1.0:  # x**1.0 == x, but NumPy still makes a full pass for it
         return float(weight * magnitude.sum())
-    return float((weight * _powers(magnitude, a).sum()) ** (1.0 / a))
+    return float((weight * _powers(magnitude.copy(), e).sum()) ** (1.0 / a))
 
 
 def slice_norm(

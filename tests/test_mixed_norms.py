@@ -1,11 +1,16 @@
 """Mixed-norm quadrature against closed forms, and the Minkowski and Hölder inequalities."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mixnorm
 from mixnorm import mixed_norms
 from mixnorm.exponents import Exponent, as_exponent
 from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
@@ -48,33 +53,36 @@ def assert_plain_riemann_sums(outer, inner):
 def assert_skipped_powers_leave_every_bit(inner):
     h = GRID2.spacing
 
-    def layer(values, a, axis):
+    def layer(values, e, axis):
+        """One norm layer by the power kernel alone, with no term skipped."""
+        a = float(e)
         if a == math.inf:
             return values.max(axis=axis)
         if a == 1:
             return h * values.sum(axis=axis)
-        return (h * (values**a).sum(axis=axis)) ** (1.0 / a)
+        return (h * mixed_norms._power_kernel(values.copy(), e).sum(axis=axis)) ** (1.0 / a)
 
     base = random_ensemble(GRID2, 6, seed=500).values
     for k in (-1000, -150, -100, -50, 0, 60, 1000):
         F = SampledFunction(GRID2, 2.0**k * base, SPACE)
         for inner_group in (1, 0):
             with np.errstate(over="ignore"):
-                stage = layer(np.abs(F.values), inner, inner_group)
+                stage = layer(np.abs(F.values), as_exponent(inner), inner_group)
             for outer in ("1", "4/3", "3/2", "2", "3", "8", "inf"):
-                expected = layer(stage, float(as_exponent(outer).value), 0)
+                expected = layer(stage, as_exponent(outer), 0)
                 with np.errstate(over="ignore"):
                     assert mixed_norm(F, MixedNormSpec(outer, inner_group, inner)) == expected
 
 
-def whole_array_stage(values, axes, weight, a):
+def whole_array_stage(values, axes, weight, e):
     """An inner layer reduced from the whole magnitude array at once."""
     magnitude = np.abs(values)
+    a = float(e)
     if a == math.inf:
         return magnitude.max(axis=axes)
     if a == 1.0:
         return weight * magnitude.sum(axis=axes)
-    return (weight * mixed_norms._powers(magnitude, a).sum(axis=axes)) ** (1.0 / a)
+    return (weight * mixed_norms._powers(magnitude, e).sum(axis=axes)) ** (1.0 / a)
 
 
 class TestMixedNormSpec:
@@ -242,7 +250,7 @@ class TestBlockedReduction:
                 for group in (0, 1) if spectrum else (spec.inner_group,):
                     axes = (grid.first_axes, grid.second_axes)[group]
                     weight = G.cell_width ** len(axes)
-                    expected = whole_array_stage(G.values, axes, weight, float(e))
+                    expected = whole_array_stage(G.values, axes, weight, e)
                     assert np.array_equal(F._reductions[(spectrum, group, e)], expected)
 
     def test_a_nan_in_a_later_block_skips_nothing(self, monkeypatch):
@@ -253,7 +261,8 @@ class TestBlockedReduction:
         values[3, 0] = np.nan
         monkeypatch.setattr(mixed_norms, "_BLOCK_BYTES", 2 * values[0].nbytes)
         stage = mixed_norms._inner_stages(values, [((1,), 1.0)], as_exponent(4))[0]
-        assert np.array_equal(stage, whole_array_stage(values, (1,), 1.0, 4.0), equal_nan=True)
+        expected = whole_array_stage(values, (1,), 1.0, as_exponent(4))
+        assert np.array_equal(stage, expected, equal_nan=True)
         assert stage[0] > 0.0
 
     def test_a_miss_holds_under_half_an_array(self):
@@ -268,8 +277,140 @@ class TestBlockedReduction:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * F.values.nbytes
-        expected = whole_array_stage(F.values, (1,), grid.spacing, 3.0)
+        expected = whole_array_stage(F.values, (1,), grid.spacing, as_exponent(3))
         assert np.array_equal(F._reductions[(False, 1, as_exponent(3))], expected)
+
+
+#: Exponents with a kernel of their own: integers, half-integers and thirds.
+KERNEL_EXPONENTS = [*map(str, range(3, 13)), "20", "100", "3/2", "5/2", "7/2", "4/3", "5/3", "7/3"]
+
+#: Exponents that fall back to pow.
+POW_EXPONENTS = ["5/4", "8/7"]
+
+#: 4096 magnitudes, log-uniform over [1/8, 8]: every power up to a = 100
+#: is a normal float, and none is skipped (8/(1/8) = 2^6, and 12·6 < 1022).
+MAGNITUDES = 2.0 ** np.random.default_rng(40).uniform(-3.0, 3.0, 4096)
+
+
+def powers(values, exponent):
+    return mixed_norms._powers(values.copy(), as_exponent(exponent))
+
+
+class TestPowerKernels:
+    """``_powers`` against ``values**float(e)``, the pow of every exponent."""
+
+    @pytest.mark.parametrize("exponent", KERNEL_EXPONENTS)
+    def test_a_kernel_matches_pow_to_rounding(self, exponent):
+        """Square-and-multiply gives v^k within (k − 1)·2^-53 of exact; the
+        root (cbrt within 1 ulp), its square and the last product add at
+        most 5 units, and pow errs by at most 1 ulp: (a + 8)·2^-53 in all."""
+        a = float(as_exponent(exponent))
+        expected = MAGNITUDES**a
+        error = np.abs(powers(MAGNITUDES, exponent) - expected) / expected
+        assert error.max() <= (a + 8.0) * 2.0**-53
+
+    @pytest.mark.parametrize("exponent", POW_EXPONENTS)
+    def test_a_fallback_is_pow_bit_for_bit(self, exponent):
+        a = float(as_exponent(exponent))
+        assert np.array_equal(powers(MAGNITUDES, exponent), MAGNITUDES**a)
+
+    @pytest.mark.parametrize("exponent", KERNEL_EXPONENTS + POW_EXPONENTS)
+    def test_zero_infinity_and_nan_are_pows(self, exponent):
+        values = np.array([0.0, math.inf, math.nan, 1.0, 0.0])
+        expected = values ** float(as_exponent(exponent))
+        assert np.array_equal(powers(values, exponent), expected, equal_nan=True)
+
+    @pytest.mark.parametrize("exponent", KERNEL_EXPONENTS + POW_EXPONENTS)
+    def test_an_underflow_or_overflow_is_pows(self, exponent):
+        """At 2^±1000 every power is 0 or inf, and the kernel's is pow's:
+        no intermediate lies outside [1, v^a]."""
+        a = float(as_exponent(exponent))
+        for scale in (2.0**-1000, 2.0**1000):
+            values = scale * MAGNITUDES
+            with np.errstate(over="ignore"):
+                got, expected = powers(values, exponent), values**a
+            assert np.all((expected == 0.0) | (expected == math.inf))
+            assert np.array_equal(got, expected)
+
+    def test_no_memo_entry_is_written(self):
+        """After norms at many exponents, every memo entry equals one made
+        afresh by a single norm whose outer layer takes no power."""
+        F = random_ensemble(GRID2, 6, seed=41)
+        exponents = ["4/3", "3/2", "5/3", "2", "3", "4", "9", "20", "5/4", "inf"]
+        for outer in exponents:
+            for inner in ("1", "4/3", "5/2", "3", "8/7", "inf"):
+                for group in (1, 0):
+                    mixed_norm(F, MixedNormSpec(outer, group, inner))
+                    spectrum_norm(F, MixedNormSpec(outer, group, inner))
+            slice_norm(F, outer)
+        assert len(F._reductions) == 6 * 2 * 2 + 1
+        for key, entry in F._reductions.items():
+            fresh = F.with_values(F.values)
+            if key[0] == "slice":
+                slice_norm(fresh, 1)
+            else:
+                spectrum, group, inner = key
+                (spectrum_norm if spectrum else mixed_norm)(fresh, MixedNormSpec(1, group, inner))
+            assert np.array_equal(fresh._reductions[key], entry)
+
+
+#: Run in a child interpreter: which of the targets in argv[1] are on, and
+#: the sha256 of ``_powers`` of a fixed input at each exponent in argv[2:].
+#: The input is made by integer arithmetic and an exact division, not by
+#: exp or the FFT, whose bits also move with dispatch.
+DISPATCH_CHILD = """\
+import hashlib, json, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from mixnorm import mixed_norms
+from mixnorm.exponents import Exponent
+
+values = (np.arange(1, 1 << 14) * 40503 % 65521) / 16384.0
+print(json.dumps({
+    "on": [target for target in sys.argv[1].split() if __cpu_features__[target]],
+    "bits": {
+        e: hashlib.sha256(mixed_norms._powers(values.copy(), Exponent(e)).tobytes()).hexdigest()
+        for e in sys.argv[2:]
+    },
+}))
+"""
+
+
+def avx512_targets() -> list[str]:
+    """The AVX-512 targets that this NumPy dispatches to on this host."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [
+        target
+        for target in __cpu_dispatch__
+        if (target.startswith("AVX512") or target == "X86_V4") and __cpu_features__.get(target)
+    ]
+
+
+class TestDispatch:
+    def test_integer_and_half_integer_powers_keep_their_bits_without_avx512(self):
+        """Multiplication and sqrt are correctly rounded on every SIMD path,
+        so these kernels give the same bits with AVX-512 dispatch on and off
+        (``NPY_DISABLE_CPU_FEATURES``); NumPy's AVX-512 pow does not."""
+        targets = avx512_targets()
+        if not targets:
+            pytest.skip("NumPy dispatches to no AVX-512 target on this host")
+        exponents = ["3", "4", "5", "8", "9", "12", "20", "3/2", "5/2", "7/2"]
+        package_root = os.path.dirname(os.path.dirname(mixnorm.__file__))
+        env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+
+        def child(**extra) -> dict:
+            argv = [sys.executable, "-c", DISPATCH_CHILD, " ".join(targets), *exponents]
+            result = subprocess.run(
+                argv, capture_output=True, text=True, env={**env, **extra}, timeout=120
+            )
+            assert result.returncode == 0, result.stderr
+            return json.loads(result.stdout)
+
+        on, off = child(), child(NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        assert (on["on"], off["on"]) == (targets, [])
+        assert [e for e in exponents if on["bits"][e] != off["bits"][e]] == []
 
 
 class TestSliceNorm:

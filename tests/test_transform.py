@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mixnorm import grids
 from mixnorm.gaussians import unit_gaussian
-from mixnorm.grids import FREQUENCY, SPACE, GridSpec, SampledFunction
+from mixnorm.grids import FREQUENCY, SPACE, GridSpec, NonFiniteValues, SampledFunction
 from mixnorm.sampling import gaussian_product, near_delta_family, random_ensemble
 from mixnorm.transform import fourier, fourier_in_place, marginal_second, slice_second_zero
 
@@ -186,6 +187,65 @@ class TestSampledFunction:
         with pytest.raises(ValueError, match="side"):
             SampledFunction(GRID2, a, "spce")
         assert a.flags.writeable
+
+
+#: Values that make a sample non-finite, in either part.
+NON_FINITE = [
+    complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 1), complex(1, math.nan)
+]
+
+
+#: 256² complex arrays of ones: C-ordered, strided and transposed.
+LAYOUTS = {
+    "contiguous": lambda: np.ones(GRID2.shape, dtype=complex),
+    "strided": lambda: np.ones((256, 512), dtype=complex)[:, ::2],
+    "transposed": lambda: np.ones(GRID2.shape, dtype=complex).T,
+}
+
+
+class TestFiniteness:
+    """Samples are checked in blocks of whole rows; every block must see
+    an infinity or a NaN in either part of any sample."""
+
+    @pytest.fixture
+    def seven_rows(self, monkeypatch):
+        """Split a 256² array into 36 blocks of 7 rows and a ragged one of 4."""
+        monkeypatch.setattr(grids, "_FINITE_BLOCK_BYTES", 7 * 256 * 16)
+
+    @pytest.mark.usefixtures("seven_rows")
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=["inf", "-inf-imag", "nan", "nan-imag"])
+    @pytest.mark.parametrize(
+        "index", [(0, 0), (6, 255), (130, 17), (252, 0), (255, 255)],
+        ids=["first", "first-end", "middle", "ragged", "ragged-end"],
+    )
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_a_non_finite_part_is_caught_in_any_block(self, bad, index, layout):
+        values = LAYOUTS[layout]()
+        values[index] = bad
+        with pytest.raises(NonFiniteValues):
+            SampledFunction(GRID2, values, SPACE)
+
+    @pytest.mark.usefixtures("seven_rows")
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_finite_samples_are_adopted_not_copied(self, layout):
+        values = LAYOUTS[layout]()
+        assert SampledFunction(GRID2, values, SPACE).values is values
+
+    @pytest.mark.parametrize("block_bytes", [100, 4096, 1 << 20])
+    def test_every_input_gets_the_whole_arrays_verdict(self, monkeypatch, block_bytes):
+        """On one, two and three axes, contiguous or not; rows wider than a
+        block are checked a row at a time (100 bytes is under one row of
+        8 samples)."""
+        monkeypatch.setattr(grids, "_FINITE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(9)
+        for shape in [(8,), (200,), (8, 8), (40, 24), (8, 8, 8)]:
+            for trial in range(30):
+                values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                if trial % 2:
+                    flat = values.reshape(-1)
+                    flat[rng.integers(flat.size)] = rng.choice(NON_FINITE)
+                for view in (values, values.T, values[::2]):
+                    assert grids._all_finite(view) == np.all(np.isfinite(view))
 
 
 class TestSliceAndMarginal:
